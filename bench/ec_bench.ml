@@ -10,12 +10,14 @@
      dune exec bench/ec_bench.exe -- -o BENCH_ec.json
 
    `--smoke` runs everything with tiny iteration counts and then
-   re-reads the emitted file through a small JSON parser, failing if it
-   is malformed or missing a measurement — wired into `dune build
+   re-reads the emitted file through the shared codec
+   (Monet_util.Json), failing if it is malformed or missing a
+   measurement — wired into `dune build
    @bench-smoke` (and the `check` alias) as a cheap regression guard. *)
 
 module Ch = Monet_channel.Channel
 open Monet_ec
+open Monet_util
 
 let drbg = Monet_hash.Drbg.of_int 0xec511
 
@@ -144,115 +146,43 @@ let speedup (e : entry) : float option =
 
 (* --- JSON out ------------------------------------------------------ *)
 
-let json_of_entries ~mode (entries : entry list) : string =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"monet-ec-bench/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"mode\": \"%s\",\n" mode);
-  Buffer.add_string b "  \"unit\": \"ops_per_sec\",\n";
-  Buffer.add_string b "  \"obs_registry\": \"disabled\",\n";
-  Buffer.add_string b "  \"results\": {\n";
-  List.iteri
-    (fun i e ->
-      Buffer.add_string b (Printf.sprintf "    \"%s\": {\n" e.name);
-      Buffer.add_string b (Printf.sprintf "      \"ops_per_sec\": %.2f" e.ops);
-      (match e.baseline with
-      | Some bl ->
-          Buffer.add_string b
-            (Printf.sprintf ",\n      \"baseline_ops_per_sec\": %.2f" bl);
-          Buffer.add_string b
-            (Printf.sprintf ",\n      \"speedup\": %.2f" (Option.get (speedup e)))
-      | None -> ());
-      (match e.note with
-      | Some n -> Buffer.add_string b (Printf.sprintf ",\n      \"note\": \"%s\"" n)
-      | None -> ());
-      Buffer.add_string b "\n    }";
-      if i < List.length entries - 1 then Buffer.add_string b ",";
-      Buffer.add_string b "\n")
-    entries;
-  Buffer.add_string b "  }\n}\n";
-  Buffer.contents b
+let json_of_entries ~mode (entries : entry list) : Json.t =
+  let f2 = Json.fixed ~decimals:2 in
+  let result e =
+    ( e.name,
+      Json.Obj
+        ([ ("ops_per_sec", f2 e.ops) ]
+        @ (match e.baseline with
+          | Some bl -> [ ("baseline_ops_per_sec", f2 bl); ("speedup", f2 (e.ops /. bl)) ]
+          | None -> [])
+        @ match e.note with Some n -> [ ("note", Json.Str n) ] | None -> []) )
+  in
+  Json.Obj
+    [ ("schema", Json.Str "monet-ec-bench/1");
+      ("mode", Json.Str mode);
+      ("unit", Json.Str "ops_per_sec");
+      ("obs_registry", Json.Str "disabled");
+      ("results", Json.Obj (List.map result entries)) ]
 
-(* Minimal JSON parser (objects / strings / numbers — the subset we
-   emit), used by --smoke to validate the file we just wrote. *)
-exception Bad_json of string
-
-let parse_json (s : string) : string list =
-  let n = String.length s in
-  let i = ref 0 in
-  let keys = ref [] in
-  let peek () = if !i >= n then raise (Bad_json "unexpected eof") else s.[!i] in
-  let adv () = incr i in
-  let rec skip_ws () =
-    if !i < n then
-      match s.[!i] with ' ' | '\n' | '\t' | '\r' -> adv (); skip_ws () | _ -> ()
+(* The monet-ec-bench/1 shape --smoke checks the written file against:
+   every measurement of the suite present, each with a rate. *)
+let doc_spec =
+  let open Json.Spec in
+  let result =
+    Object
+      [ ("ops_per_sec", Number); ("baseline_ops_per_sec", Optional Number);
+        ("speedup", Optional Number); ("note", Optional String) ]
   in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then raise (Bad_json (Printf.sprintf "expected '%c'" c));
-    adv ()
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      let c = peek () in
-      adv ();
-      if c = '"' then Buffer.contents b
-      else if c = '\\' then begin
-        Buffer.add_char b (peek ());
-        adv ();
-        go ()
-      end
-      else begin
-        Buffer.add_char b c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !i in
-    let num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while !i < n && num_char s.[!i] do
-      adv ()
-    done;
-    match float_of_string_opt (String.sub s start (!i - start)) with
-    | Some f when Float.is_finite f -> ()
-    | _ -> raise (Bad_json "bad number")
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' -> parse_obj ()
-    | '"' -> ignore (parse_string ())
-    | '-' | '0' .. '9' -> parse_number ()
-    | c -> raise (Bad_json (Printf.sprintf "unexpected '%c'" c))
-  and parse_obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = '}' then adv ()
-    else
-      let rec members () =
-        skip_ws ();
-        keys := parse_string () :: !keys;
-        expect ':';
-        parse_value ();
-        skip_ws ();
-        if peek () = ',' then begin
-          adv ();
-          members ()
-        end
-        else expect '}'
-      in
-      members ()
-  in
-  parse_value ();
-  skip_ws ();
-  if !i <> n then raise (Bad_json "trailing data");
-  !keys
+  Object
+    [ ("schema", tag "monet-ec-bench/1");
+      ("obs_registry", tag "disabled");
+      ("results",
+        Object
+          (List.map
+             (fun k -> (k, result))
+             [ "fe_mul"; "fe_mul_vs_specialized"; "point_mul"; "mul_base";
+               "double_mul"; "lsag_sign_ring11"; "lsag_verify_ring11"; "msm";
+               "batch_verify"; "channel_update" ])) ]
 
 (* --- Channel-update setup (mirrors bench/main.ml) ------------------- *)
 
@@ -492,13 +422,6 @@ let run ~smoke : entry list =
       ~note:(Printf.sprintf "vcof_reps=%d, both parties incl. KES" vcof_reps);
   ]
 
-let required_keys =
-  [
-    "fe_mul"; "fe_mul_vs_specialized"; "point_mul"; "mul_base"; "double_mul";
-    "lsag_sign_ring11"; "lsag_verify_ring11"; "msm"; "batch_verify";
-    "channel_update"; "results"; "schema"; "obs_registry";
-  ]
-
 let () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   (* BENCH_ec.json numbers are only comparable across revisions if the
@@ -518,7 +441,7 @@ let () =
     entries;
   let json = json_of_entries ~mode:(if smoke then "smoke" else "full") entries in
   let oc = open_out !out in
-  output_string oc json;
+  output_string oc (Json.to_string json ^ "\n");
   close_out oc;
   Printf.printf "wrote %s\n%!" !out;
   if smoke then begin
@@ -527,11 +450,7 @@ let () =
     let len = in_channel_length ic in
     let contents = really_input_string ic len in
     close_in ic;
-    let keys = try parse_json contents with Bad_json m -> failwith ("BENCH_ec.json invalid: " ^ m) in
-    List.iter
-      (fun k ->
-        if not (List.mem k keys) then
-          failwith (Printf.sprintf "BENCH_ec.json missing key %S" k))
-      required_keys;
-    Printf.printf "smoke: JSON validated (%d keys)\n%!" (List.length keys)
+    match Json.Spec.validate doc_spec contents with
+    | Error e -> failwith ("BENCH_ec.json invalid: " ^ e)
+    | Ok () -> Printf.printf "smoke: JSON validated (monet-ec-bench/1)\n%!"
   end

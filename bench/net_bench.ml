@@ -18,14 +18,16 @@
      dune exec bench/net_bench.exe -- -o BENCH_net.json
 
    `--smoke` runs tiny populations and then re-reads the emitted file
-   through a small JSON parser, failing if it is malformed or missing
-   a field — wired into `dune build @bench-net-smoke` (and `check`). *)
+   through the shared codec (Monet_util.Json), failing if it is
+   malformed or does not match the schema's field spec — wired into
+   `dune build @bench-net-smoke` (and `check`). *)
 
 module Graph = Monet_net.Graph
 module Topo = Monet_net.Topo
 module Workload = Monet_net.Workload
 module Shard = Monet_net.Shard
 module Metrics = Monet_obs.Metrics
+open Monet_util
 
 let seed = 0x6e31
 
@@ -114,220 +116,143 @@ let run_domains ~(shape : string) ~(nodes : int) ~(cfg : Workload.config)
 (* --- JSON out ------------------------------------------------------ *)
 
 let json_of_rows ~mode ~(cfg : Workload.config) ~(dcfg : Workload.config)
-    ~(drows : drow list) (rows : row list) : string =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"schema\": \"monet-net-bench/1\",\n";
-  add "  \"mode\": \"%s\",\n" mode;
-  add "  \"seed\": %d,\n" seed;
-  add "  \"workload\": {\n";
-  add "    \"payments_per_topology\": %d,\n" cfg.Workload.n_payments;
-  add "    \"offered_rate_tps\": %.1f,\n" cfg.Workload.arrival_rate;
-  add "    \"amount_min\": %d,\n" cfg.Workload.amount_min;
-  add "    \"amount_max\": %d,\n" cfg.Workload.amount_max;
-  add "    \"hop_proc_ms\": %.1f\n" cfg.Workload.hop_proc_ms;
-  add "  },\n";
-  add "  \"rows\": {\n";
-  List.iteri
-    (fun i r ->
-      let rep = r.r_report in
-      add "    \"%s\": {\n" r.r_topology;
-      add "      \"nodes\": %d,\n" r.r_nodes;
-      add "      \"channels\": %d,\n" r.r_edges;
-      add "      \"payments_offered\": %d,\n" rep.Workload.offered;
-      add "      \"payments_completed\": %d,\n" rep.Workload.completed;
-      add "      \"payments_no_route\": %d,\n" rep.Workload.no_route;
-      add "      \"success_rate\": %.4f,\n" rep.Workload.success_rate;
-      add "      \"offered_rate_tps\": %.1f,\n" rep.Workload.offered_rate;
-      add "      \"measured_tps\": %.1f,\n" rep.Workload.tps;
-      add "      \"sim_seconds\": %.3f,\n" (rep.Workload.sim_ms /. 1000.0);
-      add "      \"avg_path_hops\": %.2f,\n" rep.Workload.avg_path_len;
-      add "      \"fees_paid\": %d,\n" rep.Workload.fees_paid;
-      add "      \"depleted_channels_final\": %d,\n" rep.Workload.depleted_final;
-      add "      \"conserved\": %b,\n" rep.Workload.conserved;
-      (* depletion over sim-time: [sim_s, depleted, completed] points *)
-      add "      \"depletion\": [";
-      List.iteri
-        (fun j (s : Workload.sample) ->
-          if j > 0 then add ", ";
-          add "[%.1f, %d, %d]" (s.Workload.s_time_ms /. 1000.0)
-            s.Workload.s_depleted s.Workload.s_completed)
-        rep.Workload.samples;
-      add "],\n";
-      add "      \"ops\": {\n";
-      add "        \"routes\": %d,\n" r.r_routes;
-      add "        \"dijkstra_settled\": %d,\n" r.r_settled;
-      add "        \"dijkstra_relaxed\": %d\n" r.r_relaxed;
-      add "      },\n";
-      add "      \"wall_seconds\": %.2f\n" r.r_wall_s;
-      add "    }%s\n" (if i < List.length rows - 1 then "," else ""))
-    rows;
-  add "  },\n";
+    ~(drows : drow list) (rows : row list) : Json.t =
+  let f1 = Json.fixed ~decimals:1
+  and f2 = Json.fixed ~decimals:2
+  and f3 = Json.fixed ~decimals:3
+  and f4 = Json.fixed ~decimals:4 in
+  let row r =
+    let rep = r.r_report in
+    ( r.r_topology,
+      Json.Obj
+        [ ("nodes", Json.int r.r_nodes);
+          ("channels", Json.int r.r_edges);
+          ("payments_offered", Json.int rep.Workload.offered);
+          ("payments_completed", Json.int rep.Workload.completed);
+          ("payments_no_route", Json.int rep.Workload.no_route);
+          ("success_rate", f4 rep.Workload.success_rate);
+          ("offered_rate_tps", f1 rep.Workload.offered_rate);
+          ("measured_tps", f1 rep.Workload.tps);
+          ("sim_seconds", f3 (rep.Workload.sim_ms /. 1000.0));
+          ("avg_path_hops", f2 rep.Workload.avg_path_len);
+          ("fees_paid", Json.int rep.Workload.fees_paid);
+          ("depleted_channels_final", Json.int rep.Workload.depleted_final);
+          ("conserved", Json.Bool rep.Workload.conserved);
+          (* depletion over sim-time: [sim_s, depleted, completed] points *)
+          ("depletion",
+            Json.Arr
+              (List.map
+                 (fun (s : Workload.sample) ->
+                   Json.Arr
+                     [ f1 (s.Workload.s_time_ms /. 1000.0);
+                       Json.int s.Workload.s_depleted;
+                       Json.int s.Workload.s_completed ])
+                 rep.Workload.samples));
+          ("ops",
+            Json.Obj
+              [ ("routes", Json.int r.r_routes);
+                ("dijkstra_settled", Json.int r.r_settled);
+                ("dijkstra_relaxed", Json.int r.r_relaxed) ]);
+          ("wall_seconds", f2 r.r_wall_s) ] )
+  in
   (* Domain-scaling dimension: same shape and total workload, sharded
      over 1/2/4/… domains (lib/net/shard.ml). *)
-  add "  \"domains\": {\n";
-  add "    \"workload\": {\n";
-  add "      \"payments\": %d,\n" dcfg.Workload.n_payments;
-  add "      \"offered_rate_tps\": %.1f,\n" dcfg.Workload.arrival_rate;
-  add "      \"hop_proc_ms\": %.1f\n" dcfg.Workload.hop_proc_ms;
-  add "    },\n";
-  add "    \"shapes\": {\n";
   let shapes =
     List.fold_left
       (fun acc d -> if List.mem d.d_shape acc then acc else acc @ [ d.d_shape ])
       [] drows
   in
-  List.iteri
-    (fun si shape ->
-      let rows_d = List.filter (fun d -> d.d_shape = shape) drows in
-      let tps_of n =
-        List.find_opt (fun d -> d.d_domains = n) rows_d
-        |> Option.map (fun d -> d.d_merged.Shard.agg_tps)
-      in
-      add "      \"%s\": {\n" shape;
-      add "        \"nodes\": %d,\n" (List.hd rows_d).d_nodes;
-      add "        \"by_domains\": [";
-      List.iteri
-        (fun j d ->
-          let m = d.d_merged in
-          if j > 0 then add ", ";
-          add
-            "{\"domains\": %d, \"measured_tps\": %.1f, \"completed\": %d, \
-             \"offered\": %d, \"success_rate\": %.4f, \"sim_seconds\": %.3f, \
-             \"conserved\": %b, \"wall_seconds\": %.2f}"
-            d.d_domains m.Shard.agg_tps m.Shard.agg_completed m.Shard.agg_offered
-            m.Shard.agg_success_rate
-            (m.Shard.agg_sim_ms /. 1000.0)
-            m.Shard.conserved d.d_wall_s)
-        rows_d;
-      add "],\n";
-      (match (tps_of 1, tps_of 4) with
-      | Some t1, Some t4 when t1 > 0.0 ->
-          add "        \"speedup_4d_vs_1d\": %.2f\n" (t4 /. t1)
-      | _ -> add "        \"speedup_4d_vs_1d\": null\n");
-      add "      }%s\n" (if si < List.length shapes - 1 then "," else ""))
-    shapes;
-  add "    }\n";
-  add "  }\n}\n";
-  Buffer.contents b
-
-(* Minimal JSON parser (objects / arrays / strings / numbers /
-   booleans — the subset we emit), used by --smoke to validate the
-   file we just wrote. *)
-exception Bad_json of string
-
-let parse_json (s : string) : string list =
-  let n = String.length s in
-  let i = ref 0 in
-  let keys = ref [] in
-  let peek () = if !i >= n then raise (Bad_json "unexpected eof") else s.[!i] in
-  let adv () = incr i in
-  let rec skip_ws () =
-    if !i < n then
-      match s.[!i] with ' ' | '\n' | '\t' | '\r' -> adv (); skip_ws () | _ -> ()
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then raise (Bad_json (Printf.sprintf "expected '%c'" c));
-    adv ()
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      let c = peek () in
-      adv ();
-      if c = '"' then Buffer.contents b
-      else if c = '\\' then begin
-        Buffer.add_char b (peek ());
-        adv ();
-        go ()
-      end
-      else begin
-        Buffer.add_char b c;
-        go ()
-      end
+  let shape_row shape =
+    let rows_d = List.filter (fun d -> d.d_shape = shape) drows in
+    let tps_of n =
+      List.find_opt (fun d -> d.d_domains = n) rows_d
+      |> Option.map (fun d -> d.d_merged.Shard.agg_tps)
     in
-    go ()
-  in
-  let parse_number () =
-    let start = !i in
-    let num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+    let by_domains d =
+      let m = d.d_merged in
+      Json.Obj
+        [ ("domains", Json.int d.d_domains);
+          ("measured_tps", f1 m.Shard.agg_tps);
+          ("completed", Json.int m.Shard.agg_completed);
+          ("offered", Json.int m.Shard.agg_offered);
+          ("success_rate", f4 m.Shard.agg_success_rate);
+          ("sim_seconds", f3 (m.Shard.agg_sim_ms /. 1000.0));
+          ("conserved", Json.Bool m.Shard.conserved);
+          ("wall_seconds", f2 d.d_wall_s) ]
     in
-    while !i < n && num_char s.[!i] do
-      adv ()
-    done;
-    match float_of_string_opt (String.sub s start (!i - start)) with
-    | Some f when Float.is_finite f -> ()
-    | _ -> raise (Bad_json "bad number")
+    ( shape,
+      Json.Obj
+        [ ("nodes", Json.int (List.hd rows_d).d_nodes);
+          ("by_domains", Json.Arr (List.map by_domains rows_d));
+          ("speedup_4d_vs_1d",
+            match (tps_of 1, tps_of 4) with
+            | Some t1, Some t4 when t1 > 0.0 -> f2 (t4 /. t1)
+            | _ -> Json.Null) ] )
   in
-  let parse_lit lit =
-    String.iter
-      (fun c ->
-        if peek () <> c then raise (Bad_json ("expected " ^ lit));
-        adv ())
-      lit
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' -> parse_obj ()
-    | '[' -> parse_arr ()
-    | '"' -> ignore (parse_string ())
-    | 't' -> parse_lit "true"
-    | 'f' -> parse_lit "false"
-    | 'n' -> parse_lit "null"
-    | '-' | '0' .. '9' -> parse_number ()
-    | c -> raise (Bad_json (Printf.sprintf "unexpected '%c'" c))
-  and parse_arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = ']' then adv ()
-    else
-      let rec elems () =
-        parse_value ();
-        skip_ws ();
-        if peek () = ',' then begin
-          adv ();
-          elems ()
-        end
-        else expect ']'
-      in
-      elems ()
-  and parse_obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = '}' then adv ()
-    else
-      let rec members () =
-        skip_ws ();
-        keys := parse_string () :: !keys;
-        expect ':';
-        parse_value ();
-        skip_ws ();
-        if peek () = ',' then begin
-          adv ();
-          members ()
-        end
-        else expect '}'
-      in
-      members ()
-  in
-  parse_value ();
-  skip_ws ();
-  if !i <> n then raise (Bad_json "trailing data");
-  !keys
+  Json.Obj
+    [ ("schema", Json.Str "monet-net-bench/1");
+      ("mode", Json.Str mode);
+      ("seed", Json.int seed);
+      ("workload",
+        Json.Obj
+          [ ("payments_per_topology", Json.int cfg.Workload.n_payments);
+            ("offered_rate_tps", f1 cfg.Workload.arrival_rate);
+            ("amount_min", Json.int cfg.Workload.amount_min);
+            ("amount_max", Json.int cfg.Workload.amount_max);
+            ("hop_proc_ms", f1 cfg.Workload.hop_proc_ms) ]);
+      ("rows", Json.Obj (List.map row rows));
+      ("domains",
+        Json.Obj
+          [ ("workload",
+              Json.Obj
+                [ ("payments", Json.int dcfg.Workload.n_payments);
+                  ("offered_rate_tps", f1 dcfg.Workload.arrival_rate);
+                  ("hop_proc_ms", f1 dcfg.Workload.hop_proc_ms) ]);
+            ("shapes", Json.Obj (List.map shape_row shapes)) ]) ]
 
-let required_keys =
-  [
-    "schema"; "mode"; "seed"; "workload"; "rows"; "hub_spoke"; "scale_free";
-    "grid"; "nodes"; "channels"; "success_rate"; "offered_rate_tps";
-    "measured_tps"; "sim_seconds"; "depleted_channels_final"; "depletion";
-    "conserved"; "ops"; "routes"; "dijkstra_settled"; "fees_paid"; "domains";
-    "shapes"; "by_domains"; "speedup_4d_vs_1d";
-  ]
+(* The monet-net-bench/1 shape --smoke checks the written file against. *)
+let doc_spec =
+  let open Json.Spec in
+  let row =
+    Object
+      [ ("nodes", Count); ("channels", Count); ("payments_offered", Count);
+        ("payments_completed", Count); ("payments_no_route", Count);
+        ("success_rate", Number); ("offered_rate_tps", Number);
+        ("measured_tps", Number); ("sim_seconds", Number);
+        ("avg_path_hops", Number); ("fees_paid", Count);
+        ("depleted_channels_final", Count); ("conserved", Bool);
+        ("depletion", Array (Array Number));
+        ("ops",
+          Object
+            [ ("routes", Count); ("dijkstra_settled", Count);
+              ("dijkstra_relaxed", Count) ]);
+        ("wall_seconds", Number) ]
+  in
+  let by_domains =
+    Object
+      [ ("domains", Count); ("measured_tps", Number); ("completed", Count);
+        ("offered", Count); ("success_rate", Number); ("sim_seconds", Number);
+        ("conserved", Bool); ("wall_seconds", Number) ]
+  in
+  Object
+    [ ("schema", tag "monet-net-bench/1"); ("mode", String); ("seed", Count);
+      ("workload",
+        Object
+          [ ("payments_per_topology", Count); ("offered_rate_tps", Number);
+            ("amount_min", Count); ("amount_max", Count);
+            ("hop_proc_ms", Number) ]);
+      ("rows", Object [ ("hub_spoke", row); ("scale_free", row); ("grid", row) ]);
+      ("domains",
+        Object
+          [ ("workload",
+              Object
+                [ ("payments", Count); ("offered_rate_tps", Number);
+                  ("hop_proc_ms", Number) ]);
+            ("shapes",
+              Map
+                (Object
+                   [ ("nodes", Count); ("by_domains", Array by_domains);
+                     ("speedup_4d_vs_1d", Optional Number) ])) ]) ]
 
 (* --- main ----------------------------------------------------------- *)
 
@@ -412,7 +337,7 @@ let () =
     json_of_rows ~mode:(if smoke then "smoke" else "full") ~cfg ~dcfg ~drows rows
   in
   let oc = open_out !out in
-  output_string oc json;
+  output_string oc (Json.to_string json ^ "\n");
   close_out oc;
   Printf.printf "wrote %s\n%!" !out;
   if smoke then begin
@@ -420,14 +345,7 @@ let () =
     let len = in_channel_length ic in
     let contents = really_input_string ic len in
     close_in ic;
-    let keys =
-      try parse_json contents
-      with Bad_json m -> failwith ("BENCH_net.json invalid: " ^ m)
-    in
-    List.iter
-      (fun k ->
-        if not (List.mem k keys) then
-          failwith (Printf.sprintf "BENCH_net.json missing key %S" k))
-      required_keys;
-    Printf.printf "smoke: JSON validated (%d keys)\n%!" (List.length keys)
+    match Json.Spec.validate doc_spec contents with
+    | Error e -> failwith ("BENCH_net.json invalid: " ^ e)
+    | Ok () -> Printf.printf "smoke: JSON validated (monet-net-bench/1)\n%!"
   end

@@ -8,10 +8,12 @@
      an adversarial single-corruption counterpart that must reject;
    - a 2-domain sharded workload run twice, parallel vs sequential,
      asserting the merged summaries are byte-identical;
-   then emits a small JSON report and re-reads it through a minimal
-   parser, failing on any malformed field or failed check. *)
+   then emits a small JSON report and re-reads it through the shared
+   codec (Monet_util.Json), failing on any malformed field or failed
+   check. *)
 
 open Monet_ec
+open Monet_util
 open Monet_sig
 
 let g = Monet_hash.Drbg.of_int 0x70736d6b
@@ -116,44 +118,21 @@ let shard_determinism () =
 
 (* --- report --------------------------------------------------------- *)
 
-let json_of_checks (cs : check list) : string =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n  \"schema\": \"monet-par-smoke/1\",\n  \"checks\": {\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf "    \"%s\": %b%s\n" c.name c.ok
-           (if i < List.length cs - 1 then "," else "")))
-    cs;
-  Buffer.add_string b "  }\n}\n";
-  Buffer.contents b
+let json_of_checks (cs : check list) : Json.t =
+  Json.Obj
+    [ ("schema", Json.Str "monet-par-smoke/1");
+      ("checks", Json.Obj (List.map (fun c -> (c.name, Json.Bool c.ok)) cs)) ]
 
-(* Minimal validation of the emitted report: every check key present
-   and true, braces balanced (the emitter above is the only writer —
-   this guards the plumbing end to end, not a general parser). *)
-let validate (s : string) (cs : check list) =
-  let depth = ref 0 in
-  String.iter
-    (fun c ->
-      if c = '{' then incr depth
-      else if c = '}' then begin
-        decr depth;
-        if !depth < 0 then failwith "par_smoke: unbalanced JSON"
-      end)
-    s;
-  if !depth <> 0 then failwith "par_smoke: unbalanced JSON";
-  let contains sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  if not (contains "\"schema\": \"monet-par-smoke/1\"") then
-    failwith "par_smoke: missing schema";
-  List.iter
-    (fun c ->
-      if not (contains (Printf.sprintf "\"%s\": true" c.name)) then
-        failwith (Printf.sprintf "par_smoke: check %s absent or false" c.name))
-    cs
+(* Every recorded check must appear under "checks", and be true. *)
+let report_spec (cs : check list) =
+  let open Json.Spec in
+  Object
+    [ ("schema", tag "monet-par-smoke/1");
+      ("checks",
+        Object
+          (List.map
+             (fun c -> (c.name, Where (Bool, "true", ( = ) (Json.Bool true))))
+             cs)) ]
 
 let () =
   let out = ref "BENCH_par.smoke.json" in
@@ -170,12 +149,13 @@ let () =
   List.iter
     (fun c -> if not c.ok then failwith ("par_smoke: FAILED " ^ c.name))
     cs;
-  let json = json_of_checks cs in
   let oc = open_out !out in
-  output_string oc json;
+  output_string oc (Json.to_string (json_of_checks cs) ^ "\n");
   close_out oc;
   let ic = open_in !out in
   let contents = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  validate contents cs;
+  (match Json.Spec.validate (report_spec cs) contents with
+  | Error e -> failwith ("par_smoke: report invalid: " ^ e)
+  | Ok () -> ());
   Printf.printf "par-smoke: %d checks ok\n%!" (List.length cs)

@@ -1,246 +1,78 @@
 (* monet-mc/1: the model checker's machine-readable result format.
 
-   Same discipline as monet-lint/2 and monet-trace/1: the writer emits
-   the document, and an independent structural validator re-parses it
-   before anything downstream consumes it — the CLI refuses to print a
+   Same discipline as monet-lint/2 and monet-trace/1: the writer builds
+   the document with the shared codec (Monet_util.Json), and the
+   validator re-parses it against this schema's field spec before
+   anything downstream consumes it — the CLI refuses to print a
    document its own validator rejects, so the schema can never drift
    silently. *)
 
-let json_schema_version = "monet-mc/1"
+open Monet_util
 
-let esc (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_schema_version = "monet-mc/1"
 
 (* Render one exploration result as a monet-mc/1 document. *)
 let to_json (cfg : Model.config) (r : Explore.result) : string =
-  let b = Buffer.create 1024 in
   let s = r.Explore.r_stats in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"%s\",\"config\":{" json_schema_version);
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"balances\":\"%d/%d\",\"script\":\"%s\",\"faults\":\"%s\",\
-        \"max_crashes\":%d,\"retx\":%d,\"mutation\":\"%s\"},"
-       cfg.Model.c_bal_a cfg.Model.c_bal_b
-       (esc (String.concat "+" (List.map Model.op_label cfg.Model.c_ops)))
-       (esc (Model.alphabet_label cfg.Model.c_alpha))
-       cfg.Model.c_max_crashes cfg.Model.c_retx
-       (Model.mutation_label cfg.Model.c_mutation));
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"depth\":%d,\"states\":%d,\"expansions\":%d,\"transitions\":%d,\
-        \"depth_reached\":%d,\"terminal\":%d,\"quiescent\":%d,\
-        \"violating\":%d,\"complete\":%d,\"violations\":["
-       r.Explore.r_depth s.Explore.st_states s.Explore.st_expansions
-       s.Explore.st_transitions s.Explore.st_depth_reached
-       s.Explore.st_terminal s.Explore.st_quiescent s.Explore.st_violating
-       (if s.Explore.st_complete then 1 else 0));
-  List.iteri
-    (fun i (v : Explore.violation) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"inv\":\"%s\",\"msg\":\"%s\",\"depth\":%d,\"trace\":["
-           (esc v.Explore.v_inv) (esc v.Explore.v_msg) v.Explore.v_depth);
-      List.iteri
-        (fun j a ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\"" (esc (Model.action_label a))))
-        v.Explore.v_trace;
-      Buffer.add_string b "]}")
-    r.Explore.r_violations;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
-(* --- structural validation ----------------------------------------
-   Exception-free recursive-descent parser over the JSON subset the
-   writer emits (objects, arrays, strings, numbers), then the
-   monet-mc/1 shape check. *)
-
-type json =
-  | J_obj of (string * json) list
-  | J_arr of json list
-  | J_str of string
-  | J_num of float
-
-let parse_json (s : string) : (json, string) result =
-  let n = String.length s in
-  let rec skip i =
-    if i < n then
-      match s.[i] with ' ' | '\n' | '\t' | '\r' -> skip (i + 1) | _ -> i
-    else i
+  let violation (v : Explore.violation) =
+    Json.Obj
+      [ ("inv", Json.Str v.Explore.v_inv);
+        ("msg", Json.Str v.Explore.v_msg);
+        ("depth", Json.int v.Explore.v_depth);
+        ("trace",
+          Json.Arr
+            (List.map (fun a -> Json.Str (Model.action_label a)) v.Explore.v_trace)) ]
   in
-  let parse_string i =
-    let b = Buffer.create 16 in
-    let rec go i =
-      if i >= n then Error "unterminated string"
-      else
-        match s.[i] with
-        | '"' -> Ok (Buffer.contents b, i + 1)
-        | '\\' ->
-            if i + 1 >= n then Error "dangling escape"
-            else begin
-              (match s.[i + 1] with
-              | 'n' -> Buffer.add_char b '\n'
-              | 't' -> Buffer.add_char b '\t'
-              | 'u' -> Buffer.add_char b '?'
-              | c -> Buffer.add_char b c);
-              go (i + 2 + if s.[i + 1] = 'u' then 4 else 0)
-            end
-        | c ->
-            Buffer.add_char b c;
-            go (i + 1)
-    in
-    go i
-  in
-  let parse_number i =
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    let rec stop j = if j < n && num_char s.[j] then stop (j + 1) else j in
-    let j = stop i in
-    match float_of_string_opt (String.sub s i (j - i)) with
-    | Some f when Float.is_finite f -> Ok (J_num f, j)
-    | _ -> Error "bad number"
-  in
-  let rec parse_value i : (json * int, string) result =
-    let i = skip i in
-    if i >= n then Error "unexpected end of input"
-    else
-      match s.[i] with
-      | '{' -> parse_obj (i + 1) []
-      | '[' -> parse_arr (i + 1) []
-      | '"' -> (
-          match parse_string (i + 1) with
-          | Ok (v, i) -> Ok (J_str v, i)
-          | Error e -> Error e)
-      | '-' | '0' .. '9' -> parse_number i
-      | c -> Error (Printf.sprintf "unexpected character %C" c)
-  and parse_obj i acc =
-    let i = skip i in
-    if i >= n then Error "unterminated object"
-    else if s.[i] = '}' then Ok (J_obj (List.rev acc), i + 1)
-    else if s.[i] <> '"' then Error "expected object key"
-    else
-      match parse_string (i + 1) with
-      | Error e -> Error e
-      | Ok (key, i) -> (
-          let i = skip i in
-          if i >= n || s.[i] <> ':' then Error "expected ':'"
-          else
-            match parse_value (i + 1) with
-            | Error e -> Error e
-            | Ok (v, i) ->
-                let i = skip i in
-                if i < n && s.[i] = ',' then parse_obj (i + 1) ((key, v) :: acc)
-                else if i < n && s.[i] = '}' then
-                  Ok (J_obj (List.rev ((key, v) :: acc)), i + 1)
-                else Error "expected ',' or '}'")
-  and parse_arr i acc =
-    let i = skip i in
-    if i >= n then Error "unterminated array"
-    else if s.[i] = ']' then Ok (J_arr (List.rev acc), i + 1)
-    else
-      match parse_value i with
-      | Error e -> Error e
-      | Ok (v, i) ->
-          let i = skip i in
-          if i < n && s.[i] = ',' then parse_arr (i + 1) (v :: acc)
-          else if i < n && s.[i] = ']' then
-            Ok (J_arr (List.rev (v :: acc)), i + 1)
-          else Error "expected ',' or ']'"
-  in
-  match parse_value 0 with
-  | Error e -> Error e
-  | Ok (v, i) ->
-      let i = skip i in
-      if i <> n then Error "trailing data after document" else Ok v
+  Json.to_string
+    (Json.Obj
+       [ ("schema", Json.Str json_schema_version);
+         ("config",
+           Json.Obj
+             [ ("balances",
+                 Json.Str
+                   (Printf.sprintf "%d/%d" cfg.Model.c_bal_a cfg.Model.c_bal_b));
+               ("script",
+                 Json.Str (String.concat "+" (List.map Model.op_label cfg.Model.c_ops)));
+               ("faults", Json.Str (Model.alphabet_label cfg.Model.c_alpha));
+               ("max_crashes", Json.int cfg.Model.c_max_crashes);
+               ("retx", Json.int cfg.Model.c_retx);
+               ("mutation", Json.Str (Model.mutation_label cfg.Model.c_mutation)) ]);
+         ("depth", Json.int r.Explore.r_depth);
+         ("states", Json.int s.Explore.st_states);
+         ("expansions", Json.int s.Explore.st_expansions);
+         ("transitions", Json.int s.Explore.st_transitions);
+         ("depth_reached", Json.int s.Explore.st_depth_reached);
+         ("terminal", Json.int s.Explore.st_terminal);
+         ("quiescent", Json.int s.Explore.st_quiescent);
+         ("violating", Json.int s.Explore.st_violating);
+         ("complete", Json.int (if s.Explore.st_complete then 1 else 0));
+         ("violations", Json.Arr (List.map violation r.Explore.r_violations)) ])
 
-let require_string name fields =
-  match List.assoc_opt name fields with
-  | Some (J_str s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing or non-string field %S" name)
-
-let require_count name fields =
-  match List.assoc_opt name fields with
-  | Some (J_num f) when Float.is_integer f && f >= 0.0 -> Ok ()
-  | _ ->
-      Error (Printf.sprintf "missing or non-count field %S" name)
-
-let rec check_all check = function
-  | [] -> Ok ()
-  | x :: rest -> (
-      match check x with Error e -> Error e | Ok () -> check_all check rest)
-
-let check_violation (j : json) : (unit, string) result =
-  match j with
-  | J_obj fields -> (
-      match require_string "inv" fields with
-      | Error e -> Error e
-      | Ok inv when not (String.length inv >= 5 && String.sub inv 0 4 = "INV-")
-        -> Error (Printf.sprintf "violation id %S is not an INV- id" inv)
-      | Ok _ -> (
-          match require_string "msg" fields with
-          | Error e -> Error e
-          | Ok _ -> (
-              match require_count "depth" fields with
-              | Error e -> Error e
-              | Ok () -> (
-                  match List.assoc_opt "trace" fields with
-                  | Some (J_arr steps)
-                    when List.for_all
-                           (function J_str _ -> true | _ -> false)
-                           steps -> Ok ()
-                  | _ -> Error "missing or malformed \"trace\""))))
-  | _ -> Error "violation is not an object"
+let is_inv_id = function
+  | Json.Str inv -> String.length inv >= 5 && String.sub inv 0 4 = "INV-"
+  | _ -> false
 
 (* Validate a document against the monet-mc/1 shape. *)
 let validate_json (s : string) : (unit, string) result =
-  match parse_json s with
-  | Error e -> Error ("parse error: " ^ e)
-  | Ok (J_obj fields) -> (
-      match require_string "schema" fields with
-      | Error e -> Error e
-      | Ok v when v <> json_schema_version ->
-          Error
-            (Printf.sprintf "schema is %S, expected %S" v json_schema_version)
-      | Ok _ -> (
-          match List.assoc_opt "config" fields with
-          | Some (J_obj cfg) -> (
-              match
-                check_all
-                  (fun k -> require_string k cfg |> Result.map ignore)
-                  [ "balances"; "script"; "faults"; "mutation" ]
-              with
-              | Error e -> Error e
-              | Ok () -> (
-                  match
-                    check_all
-                      (fun k -> require_count k fields)
-                      [ "depth"; "states"; "expansions"; "transitions";
-                        "depth_reached"; "terminal"; "quiescent";
-                        "violating"; "complete" ]
-                  with
-                  | Error e -> Error e
-                  | Ok () -> (
-                      match List.assoc_opt "violations" fields with
-                      | Some (J_arr vs) -> check_all check_violation vs
-                      | _ -> Error "missing or non-array \"violations\"")))
-          | _ -> Error "missing or non-object \"config\""))
-  | Ok _ -> Error "document is not an object"
+  Json.Spec.(
+    validate
+      (Object
+         ([ ("schema", tag json_schema_version);
+            ("config",
+              Object
+                [ ("balances", String); ("script", String); ("faults", String);
+                  ("mutation", String) ]) ]
+         @ List.map
+             (fun k -> (k, Count))
+             [ "depth"; "states"; "expansions"; "transitions"; "depth_reached";
+               "terminal"; "quiescent"; "violating"; "complete" ]
+         @ [ ("violations",
+               Array
+                 (Object
+                    [ ("inv", Where (String, "an INV- id", is_inv_id));
+                      ("msg", String); ("depth", Count); ("trace", Array String) ]))
+           ])))
+    s
 
 (* One-paragraph human summary, for the non-JSON CLI path. *)
 let summary (cfg : Model.config) (r : Explore.result) : string =

@@ -15,6 +15,8 @@
    an inherently sequential structure — workers report through the
    domain-local metrics registry instead, DESIGN.md §3.10). *)
 
+open Monet_util
+
 type event = {
   ev_name : string;
   ev_attrs : (string * string) list;
@@ -157,298 +159,57 @@ let duration_ms sp = sp.sp_end_ms -. sp.sp_start_ms
 
 (* --- JSON export (schema monet-trace/1) --------------------------- *)
 
-let esc (s : string) : string =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_attrs attrs = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) attrs)
+let json_ms = Json.fixed ~decimals:6
 
-let add_attrs b attrs =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (esc k) (esc v)))
-    attrs;
-  Buffer.add_char b '}'
+let json_of_event (ev : event) : Json.t =
+  Json.Obj
+    ([ ("name", Json.Str ev.ev_name); ("at_ms", json_ms ev.ev_at_ms) ]
+    @ (match ev.ev_sim_ms with Some t -> [ ("sim_ms", json_ms t) ] | None -> [])
+    @ [ ("attrs", json_attrs ev.ev_attrs) ])
 
-let add_event b (ev : event) =
-  Buffer.add_string b
-    (Printf.sprintf "{\"name\":\"%s\",\"at_ms\":%.6f" (esc ev.ev_name) ev.ev_at_ms);
-  (match ev.ev_sim_ms with
-  | Some t -> Buffer.add_string b (Printf.sprintf ",\"sim_ms\":%.6f" t)
-  | None -> ());
-  Buffer.add_string b ",\"attrs\":";
-  add_attrs b ev.ev_attrs;
-  Buffer.add_char b '}'
-
-let rec add_span b (sp : span) =
-  Buffer.add_string b
-    (Printf.sprintf "{\"name\":\"%s\",\"start_ms\":%.6f,\"end_ms\":%.6f"
-       (esc sp.sp_name) sp.sp_start_ms sp.sp_end_ms);
-  (match (sp.sp_sim_start_ms, sp.sp_sim_end_ms) with
-  | Some s, Some e ->
-      Buffer.add_string b
-        (Printf.sprintf ",\"sim_start_ms\":%.6f,\"sim_end_ms\":%.6f" s e)
-  | _ -> ());
-  Buffer.add_string b ",\"attrs\":";
-  add_attrs b sp.sp_attrs;
-  Buffer.add_string b ",\"ops\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (esc k) v))
-    sp.sp_ops;
-  Buffer.add_string b "},\"events\":[";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_char b ',';
-      add_event b ev)
-    sp.sp_events;
-  Buffer.add_string b "],\"children\":[";
-  List.iteri
-    (fun i child ->
-      if i > 0 then Buffer.add_char b ',';
-      add_span b child)
-    sp.sp_children;
-  Buffer.add_string b "]}"
+let rec json_of_span (sp : span) : Json.t =
+  Json.Obj
+    ([ ("name", Json.Str sp.sp_name);
+       ("start_ms", json_ms sp.sp_start_ms);
+       ("end_ms", json_ms sp.sp_end_ms) ]
+    @ (match (sp.sp_sim_start_ms, sp.sp_sim_end_ms) with
+      | Some s, Some e -> [ ("sim_start_ms", json_ms s); ("sim_end_ms", json_ms e) ]
+      | _ -> [])
+    @ [ ("attrs", json_attrs sp.sp_attrs);
+        ("ops", Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) sp.sp_ops));
+        ("events", Json.Arr (List.map json_of_event sp.sp_events));
+        ("children", Json.Arr (List.map json_of_span sp.sp_children)) ])
 
 let to_json () : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"schema\": \"%s\",\n" json_schema_version);
-  Buffer.add_string b "  \"clock_unit\": \"ms\",\n";
-  Buffer.add_string b "  \"spans\": [";
-  List.iteri
-    (fun i sp ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n    ";
-      add_span b sp)
-    (roots ());
-  Buffer.add_string b "\n  ],\n  \"events\": [";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n    ";
-      add_event b ev)
-    (loose_events ());
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       [ ("schema", Json.Str json_schema_version);
+         ("clock_unit", Json.Str "ms");
+         ("spans", Json.Arr (List.map json_of_span (roots ())));
+         ("events", Json.Arr (List.map json_of_event (loose_events ()))) ])
 
-(* --- self-validation ------------------------------------------------
+let event_spec =
+  Json.Spec.(
+    Object
+      [ ("name", String); ("at_ms", Number); ("sim_ms", Optional Number);
+        ("attrs", Map String) ])
 
-   Exception-free recursive-descent parser over the JSON subset the
-   exporter emits (objects, arrays, strings, numbers), then a
-   structural check of the monet-trace/1 schema. Result-style
-   throughout: lib/ is linted with forbid-exn. *)
-
-type json =
-  | J_obj of (string * json) list
-  | J_arr of json list
-  | J_str of string
-  | J_num of float
-
-let parse_json (s : string) : (json, string) result =
-  let n = String.length s in
-  let rec skip i =
-    if i < n then
-      match s.[i] with ' ' | '\n' | '\t' | '\r' -> skip (i + 1) | _ -> i
-    else i
-  in
-  let parse_string i =
-    (* i points just past the opening quote *)
-    let b = Buffer.create 16 in
-    let rec go i =
-      if i >= n then Error "unterminated string"
-      else
-        match s.[i] with
-        | '"' -> Ok (Buffer.contents b, i + 1)
-        | '\\' ->
-            if i + 1 >= n then Error "dangling escape"
-            else begin
-              (match s.[i + 1] with
-              | 'n' -> Buffer.add_char b '\n'
-              | 'r' -> Buffer.add_char b '\r'
-              | 't' -> Buffer.add_char b '\t'
-              | 'u' -> Buffer.add_char b '?' (* code point not needed here *)
-              | c -> Buffer.add_char b c);
-              let skip_extra = if s.[i + 1] = 'u' then 4 else 0 in
-              go (i + 2 + skip_extra)
-            end
-        | c ->
-            Buffer.add_char b c;
-            go (i + 1)
-    in
-    go i
-  in
-  let parse_number i =
-    let num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    let rec stop j = if j < n && num_char s.[j] then stop (j + 1) else j in
-    let j = stop i in
-    match float_of_string_opt (String.sub s i (j - i)) with
-    | Some f when Float.is_finite f -> Ok (J_num f, j)
-    | _ -> Error "bad number"
-  in
-  let rec parse_value i : (json * int, string) result =
-    let i = skip i in
-    if i >= n then Error "unexpected end of input"
-    else
-      match s.[i] with
-      | '{' -> parse_obj (i + 1) []
-      | '[' -> parse_arr (i + 1) []
-      | '"' -> (
-          match parse_string (i + 1) with
-          | Ok (v, i) -> Ok (J_str v, i)
-          | Error e -> Error e)
-      | '-' | '0' .. '9' -> parse_number i
-      | c -> Error (Printf.sprintf "unexpected character %C" c)
-  and parse_obj i acc =
-    let i = skip i in
-    if i >= n then Error "unterminated object"
-    else if s.[i] = '}' then Ok (J_obj (List.rev acc), i + 1)
-    else if s.[i] <> '"' then Error "expected object key"
-    else
-      match parse_string (i + 1) with
-      | Error e -> Error e
-      | Ok (key, i) -> (
-          let i = skip i in
-          if i >= n || s.[i] <> ':' then Error "expected ':'"
-          else
-            match parse_value (i + 1) with
-            | Error e -> Error e
-            | Ok (v, i) -> (
-                let i = skip i in
-                if i < n && s.[i] = ',' then parse_obj (i + 1) ((key, v) :: acc)
-                else if i < n && s.[i] = '}' then
-                  Ok (J_obj (List.rev ((key, v) :: acc)), i + 1)
-                else Error "expected ',' or '}'"))
-  and parse_arr i acc =
-    let i = skip i in
-    if i >= n then Error "unterminated array"
-    else if s.[i] = ']' then Ok (J_arr (List.rev acc), i + 1)
-    else
-      match parse_value i with
-      | Error e -> Error e
-      | Ok (v, i) -> (
-          let i = skip i in
-          if i < n && s.[i] = ',' then parse_arr (i + 1) (v :: acc)
-          else if i < n && s.[i] = ']' then Ok (J_arr (List.rev (v :: acc)), i + 1)
-          else Error "expected ',' or ']'")
-  in
-  match parse_value 0 with
-  | Error e -> Error e
-  | Ok (v, i) ->
-      let i = skip i in
-      if i <> n then Error "trailing data after document" else Ok v
-
-let field name fields = List.assoc_opt name fields
-
-let require_string name fields =
-  match field name fields with
-  | Some (J_str s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing or non-string field %S" name)
-
-let require_number name fields =
-  match field name fields with
-  | Some (J_num f) -> Ok f
-  | _ -> Error (Printf.sprintf "missing or non-number field %S" name)
-
-let check_attrs name fields =
-  match field name fields with
-  | Some (J_obj kvs) ->
-      if List.for_all (fun (_, v) -> match v with J_str _ -> true | _ -> false) kvs
-      then Ok ()
-      else Error (Printf.sprintf "%S values must be strings" name)
-  | _ -> Error (Printf.sprintf "missing or non-object field %S" name)
-
-let check_event (j : json) : (unit, string) result =
-  match j with
-  | J_obj fields -> (
-      match require_string "name" fields with
-      | Error e -> Error e
-      | Ok _ -> (
-          match require_number "at_ms" fields with
-          | Error e -> Error e
-          | Ok _ -> check_attrs "attrs" fields))
-  | _ -> Error "event is not an object"
-
-let rec check_list check = function
-  | [] -> Ok ()
-  | x :: rest -> ( match check x with Error e -> Error e | Ok () -> check_list check rest)
-
-let rec check_span (j : json) : (unit, string) result =
-  match j with
-  | J_obj fields -> (
-      match require_string "name" fields with
-      | Error e -> Error e
-      | Ok _ -> (
-          match require_number "start_ms" fields with
-          | Error e -> Error e
-          | Ok _ -> (
-              match require_number "end_ms" fields with
-              | Error e -> Error e
-              | Ok _ -> (
-                  match check_attrs "attrs" fields with
-                  | Error e -> Error e
-                  | Ok () -> (
-                      match field "ops" fields with
-                      | Some (J_obj ops)
-                        when List.for_all
-                               (fun (_, v) ->
-                                 match v with
-                                 | J_num f -> Float.is_integer f && f >= 0.0
-                                 | _ -> false)
-                               ops -> (
-                          match field "events" fields with
-                          | Some (J_arr evs) -> (
-                              match check_list check_event evs with
-                              | Error e -> Error e
-                              | Ok () -> (
-                                  match field "children" fields with
-                                  | Some (J_arr children) ->
-                                      check_list check_span children
-                                  | _ -> Error "missing or non-array \"children\""))
-                          | _ -> Error "missing or non-array \"events\""
-                          )
-                      | _ -> Error "missing or malformed \"ops\" (object of non-negative integers)")))))
-  | _ -> Error "span is not an object"
+let rec span_spec =
+  Json.Spec.(
+    Object
+      [ ("name", String); ("start_ms", Number); ("end_ms", Number);
+        ("sim_start_ms", Optional Number); ("sim_end_ms", Optional Number);
+        ("attrs", Map String); ("ops", Map Count);
+        ("events", Array event_spec); ("children", Array span_spec) ])
 
 let validate_json (s : string) : (unit, string) result =
-  match parse_json s with
-  | Error e -> Error ("parse error: " ^ e)
-  | Ok (J_obj fields) -> (
-      match require_string "schema" fields with
-      | Error e -> Error e
-      | Ok v when v <> json_schema_version ->
-          Error (Printf.sprintf "schema is %S, expected %S" v json_schema_version)
-      | Ok _ -> (
-          match require_string "clock_unit" fields with
-          | Error e -> Error e
-          | Ok _ -> (
-              match field "spans" fields with
-              | Some (J_arr spans) -> (
-                  match check_list check_span spans with
-                  | Error e -> Error e
-                  | Ok () -> (
-                      match field "events" fields with
-                      | Some (J_arr evs) -> check_list check_event evs
-                      | _ -> Error "missing or non-array \"events\""))
-              | _ -> Error "missing or non-array \"spans\"")))
-  | Ok _ -> Error "document is not an object"
+  Json.Spec.(
+    validate
+      (Object
+         [ ("schema", tag json_schema_version); ("clock_unit", String);
+           ("spans", Array span_spec); ("events", Array event_spec) ]))
+    s
 
 (* --- ASCII span-tree rendering ------------------------------------ *)
 

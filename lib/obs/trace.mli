@@ -85,14 +85,16 @@ val duration_ms : span -> float
 (** Wall-clock extent of a closed span, in milliseconds. *)
 
 val to_json : unit -> string
-(** Export the sink ({!roots} and {!loose_events}) as
+(** Export the sink ({!roots} and {!loose_events}) as compact
     [monet-trace/1] JSON. The output always satisfies
     {!validate_json}. *)
 
 val validate_json : string -> (unit, string) result
-(** Structurally validate a [monet-trace/1] document: schema tag,
-    span fields (name / start_ms / end_ms / attrs / ops / events /
-    children), and event fields, recursively. Exception-free. *)
+(** Validate a [monet-trace/1] document: parse it with the shared
+    codec ({!Monet_util.Json}) and check the schema's field spec —
+    schema tag, span fields (name / start_ms / end_ms / attrs / ops /
+    events / children), and event fields, recursively. [Error] names
+    the path of the first mismatch. *)
 
 val ops_summary : ?limit:int -> (string * int) list -> string
 (** Render an ops list as ["k=v k=v …"], largest first, keeping at

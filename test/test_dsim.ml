@@ -1,4 +1,4 @@
-(* Discrete-event simulator: clock ordering, latency models, metrics. *)
+(* Discrete-event simulator: clock ordering, latency models. *)
 open Monet_dsim
 
 let test_event_ordering () =
@@ -67,17 +67,6 @@ let test_latency_models () =
   done;
   Alcotest.(check (float 0.001)) "uniform mean" 15.0 (Latency.mean (Latency.Uniform (10.0, 20.0)))
 
-let test_metrics () =
-  let m = Metrics.create () in
-  Metrics.bump m "x";
-  Metrics.bump m ~by:4 "x";
-  Metrics.record_message m ~bytes:100;
-  Alcotest.(check int) "counter" 5 (Metrics.get m "x");
-  Alcotest.(check int) "msg count" 1 (Metrics.get m Metrics.offchain_msg);
-  Alcotest.(check int) "bytes" 100 (Metrics.get m Metrics.offchain_bytes);
-  Metrics.reset m;
-  Alcotest.(check int) "reset" 0 (Metrics.get m "x")
-
 let tests =
   [
     Alcotest.test_case "event ordering" `Quick test_event_ordering;
@@ -86,5 +75,4 @@ let tests =
     Alcotest.test_case "run limit" `Quick test_run_limit;
     Alcotest.test_case "heap stress" `Quick test_heap_stress;
     Alcotest.test_case "latency models" `Quick test_latency_models;
-    Alcotest.test_case "metrics" `Quick test_metrics;
   ]

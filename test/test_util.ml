@@ -1,5 +1,5 @@
-(* Utility-layer unit tests: hex, byte helpers, wire, drbg entropy,
-   ledger odds and ends. *)
+(* Utility-layer unit tests: hex, byte helpers, wire, the JSON codec,
+   drbg entropy, ledger odds and ends. *)
 
 let test_hex_errors () =
   Alcotest.check_raises "odd length" (Invalid_argument "Hex.decode: odd length")
@@ -106,6 +106,101 @@ let test_tx_wire_roundtrip () =
       | Monet_xmr.Ledger.Valid -> ()
       | Monet_xmr.Ledger.Invalid e -> Alcotest.failf "decoded invalid: %s" e)
 
+(* -- Monet_util.Json: the shared codec --------------------------------- *)
+
+module Json = Monet_util.Json
+
+let json_testable =
+  Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (Json.to_string v)) ( = )
+
+(* Random nested documents whose strings (values and keys) mix the
+   bytes a hand-written escaper gets wrong: quote, backslash, slash,
+   control bytes, DEL and non-ASCII / invalid-UTF-8 bytes. *)
+let json_gen : Json.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let tricky = oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\000'; '\001'; '\031';
+                        '\127'; '\195'; '\169'; '\255' ] in
+  let str = string_size ~gen:(frequency [ (1, tricky); (1, printable); (1, char) ])
+      (int_bound 10) in
+  let num =
+    oneof
+      [ map Json.int int;
+        map2 (fun decimals f -> Json.fixed ~decimals f) (int_bound 6) float ]
+  in
+  let leaf =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool; num;
+        map (fun s -> Json.Str s) str ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n / 2))));
+               (1, map (fun l -> Json.Obj l)
+                     (list_size (int_bound 4) (pair str (self (n / 2))))) ])
+
+let test_json_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"json parse (to_string v) = Ok v" ~count:500
+       (QCheck.make ~print:Json.to_string json_gen)
+       (fun v -> Json.parse (Json.to_string v) = Ok v))
+
+(* Escapes a hand-written decoder easily gets wrong (a \u escape
+   turned into '?' or kept as text, \n read as 'n'), plus \u above
+   ASCII and a surrogate pair. *)
+let test_json_escapes () =
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check (result json_testable string)) src (Ok (Json.Str expected))
+        (Json.parse src))
+    [ ({|"\u0001"|}, "\001"); ({|"a\nb"|}, "a\nb"); ({|"\/"|}, "/");
+      ({|"\""|}, "\""); ({|"\\\t\r\b\f"|}, "\\\t\r\b\012");
+      ({|"é"|}, "\195\169"); ({|"😀"|}, "\240\159\152\128") ];
+  Alcotest.(check string) "printer escapes" {|"\"\\\n\u0001/"|}
+    (Json.to_string (Json.Str "\"\\\n\001/"))
+
+let test_json_rejects () =
+  List.iter
+    (fun (what, src) ->
+      match Json.parse src with
+      | Ok v -> Alcotest.failf "%s: accepted %S as %s" what src (Json.to_string v)
+      | Error _ -> ())
+    [ ("truncated object", {|{"a":[1,2|}); ("truncated string", {|"abc|});
+      ("truncated escape", {|"\u00|}); ("empty input", "");
+      ("trailing data", {|{} {}|}); ("trailing value", "1 2");
+      ("bare nan", "nan"); ("bare inf", "inf"); ("negative inf", "-inf");
+      ("nan in array", "[1,nan]"); ("non-string key", {|{1:2}|});
+      ("leading garbage", {|x{"a":1}|}); ("trailing comma", "[1,]");
+      ("raw control byte", "\"a\001b\""); ("lone surrogate", {|"\ud800"|});
+      ("leading zero", "01"); ("bare fraction", "1.") ]
+
+(* A field spec checks the field at its path, not a match anywhere:
+   the check key true in a sibling object does not satisfy it. *)
+let test_json_spec () =
+  let spec =
+    Json.Spec.(
+      Object
+        [ ("schema", tag "s/1");
+          ("checks", Object [ ("a", Where (Bool, "true", ( = ) (Json.Bool true))) ]) ])
+  in
+  Alcotest.(check (result unit string)) "accepted" (Ok ())
+    (Json.Spec.validate spec {|{"schema":"s/1","checks":{"a":true},"extra":[]}|});
+  Alcotest.(check (result unit string)) "false under checks"
+    (Error "$.checks.a: expected true")
+    (Json.Spec.validate spec
+       {|{"schema":"s/1","junk":{"a": true},"checks":{"a": false}}|});
+  Alcotest.(check (result unit string)) "missing field"
+    (Error "$.checks: missing field")
+    (Json.Spec.validate spec {|{"schema":"s/1"}|});
+  Alcotest.(check bool) "wrong tag" true
+    (Result.is_error
+       (Json.Spec.validate spec {|{"schema":"s/2","checks":{"a":true}}|}));
+  Alcotest.(check bool) "count rejects a fraction" true
+    (Result.is_error (Json.Spec.validate Json.Spec.Count "1.5"))
+
 let tests =
   [
     Alcotest.test_case "hex errors" `Quick test_hex_errors;
@@ -119,4 +214,8 @@ let tests =
     Alcotest.test_case "empty tx" `Quick test_ledger_rejects_empty_tx;
     Alcotest.test_case "scan idempotent" `Quick test_wallet_scan_idempotent;
     Alcotest.test_case "tx wire roundtrip" `Quick test_tx_wire_roundtrip;
+    test_json_roundtrip;
+    Alcotest.test_case "json escapes" `Quick test_json_escapes;
+    Alcotest.test_case "json rejects malformed" `Quick test_json_rejects;
+    Alcotest.test_case "json field spec" `Quick test_json_spec;
   ]

@@ -41,7 +41,8 @@
       through a [_].
 
     {b Documentation} ([.mli] files in the doc scope — by default
-    [lib/obs] and [lib/channel]):
+    [lib/obs], [lib/channel], [lib/net], [lib/fault], [lib/store],
+    [lib/mc] and [lib/util]):
     - [doc-comment] — an exported [val] without a [(** … *)] doc
       comment. Interfaces in the doc scope are API surface; odoc is
       not a build dependency, so this rule is what keeps their
@@ -216,7 +217,8 @@ let default_secret_scope (file : string) : bool =
 
 let default_doc_scope (file : string) : bool =
   path_under
-    [ "lib/obs"; "lib/channel"; "lib/net"; "lib/fault"; "lib/store"; "lib/mc" ]
+    [ "lib/obs"; "lib/channel"; "lib/net"; "lib/fault"; "lib/store"; "lib/mc";
+      "lib/util" ]
     file
 
 let default_config =
@@ -1768,22 +1770,8 @@ let pp_report (out : out_channel) (r : report) : unit =
     r.r_suppressed r.r_files
     (if r.r_files = 1 then "" else "s")
 
-(* JSON emission, schema "monet-lint/1". *)
-
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* JSON emission, schema "monet-lint/2", through the shared codec
+   (Monet_util.Json). *)
 
 let json_schema_version = "monet-lint/2"
 
@@ -1804,188 +1792,61 @@ let finding_in_pass (only : string) (f : finding) : bool =
   f.f_rule = only || pass_of_rule f.f_rule = only
 
 let to_json (r : report) : string =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"%s\",\"files\":%d,\"suppressed\":%d,"
-       json_schema_version r.r_files r.r_suppressed);
-  (match r.r_graph with
-  | Some g ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "\"graph\":{\"defs\":%d,\"edges\":%d,\"roots\":%d,\"reachable\":%d},"
-           g.gs_defs g.gs_edges g.gs_roots g.gs_reachable)
-  | None -> ());
-  Buffer.add_string b "\"findings\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"pass\":\"%s\",\"symbol\":\"%s\",\"message\":\"%s\",\"suggestion\":\"%s\"}"
-           (json_escape f.f_file) f.f_line f.f_col (json_escape f.f_rule)
-           (json_escape (pass_of_rule f.f_rule))
-           (json_escape f.f_symbol) (json_escape f.f_message)
-           (json_escape f.f_suggestion)))
-    r.r_findings;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
-(* ----------------------------------------------------------------- *)
-(* A minimal JSON reader used to self-validate [to_json] output      *)
-(* (and by test/test_lint.ml): parses a strict subset — objects,     *)
-(* arrays, strings, integers — and checks the monet-lint/1 shape.    *)
-(* ----------------------------------------------------------------- *)
-
-module Json = struct
-  type t =
-    | Obj of (string * t) list
-    | Arr of t list
-    | Str of string
-    | Int of int
-
-  let parse (s : string) : (t, string) result =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = Error (Printf.sprintf "json: %s at %d" msg !pos) in
-    let rec skip_ws () =
-      if !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\n' || s.[!pos] = '\t' || s.[!pos] = '\r')
-      then (incr pos; skip_ws ())
-    in
-    let rec value () : (t, string) result =
-      skip_ws ();
-      if !pos >= n then fail "eof"
-      else
-        match s.[!pos] with
-        | '{' ->
-            incr pos;
-            let rec fields acc =
-              skip_ws ();
-              if !pos < n && s.[!pos] = '}' then (incr pos; Ok (Obj (List.rev acc)))
-              else
-                match value () with
-                | Ok (Str key) -> (
-                    skip_ws ();
-                    if !pos < n && s.[!pos] = ':' then begin
-                      incr pos;
-                      match value () with
-                      | Ok v -> (
-                          skip_ws ();
-                          if !pos < n && s.[!pos] = ',' then (incr pos; fields ((key, v) :: acc))
-                          else if !pos < n && s.[!pos] = '}' then (incr pos; Ok (Obj (List.rev ((key, v) :: acc))))
-                          else fail "expected , or }")
-                      | Error e -> Error e
-                    end
-                    else fail "expected :")
-                | Ok _ -> fail "object key must be a string"
-                | Error e -> Error e
-            in
-            fields []
-        | '[' ->
-            incr pos;
-            let rec items acc =
-              skip_ws ();
-              if !pos < n && s.[!pos] = ']' then (incr pos; Ok (Arr (List.rev acc)))
-              else
-                match value () with
-                | Ok v -> (
-                    skip_ws ();
-                    if !pos < n && s.[!pos] = ',' then (incr pos; items (v :: acc))
-                    else if !pos < n && s.[!pos] = ']' then (incr pos; Ok (Arr (List.rev (v :: acc))))
-                    else fail "expected , or ]")
-                | Error e -> Error e
-            in
-            items []
-        | '"' ->
-            incr pos;
-            let b = Buffer.create 16 in
-            let rec str () =
-              if !pos >= n then fail "unterminated string"
-              else
-                match s.[!pos] with
-                | '"' -> (incr pos; Ok (Str (Buffer.contents b)))
-                | '\\' when !pos + 1 < n ->
-                    (match s.[!pos + 1] with
-                    | 'n' -> Buffer.add_char b '\n'
-                    | 't' -> Buffer.add_char b '\t'
-                    | 'r' -> Buffer.add_char b '\r'
-                    | 'u' ->
-                        (* keep the escape verbatim; fidelity is not
-                           needed for validation *)
-                        Buffer.add_string b "\\u"
-                    | c -> Buffer.add_char b c);
-                    pos := !pos + (if s.[!pos + 1] = 'u' then 2 else 2);
-                    str ()
-                | c -> (Buffer.add_char b c; incr pos; str ())
-            in
-            str ()
-        | c when c = '-' || (c >= '0' && c <= '9') ->
-            let start = !pos in
-            if c = '-' then incr pos;
-            while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do incr pos done;
-            (try Ok (Int (int_of_string (String.sub s start (!pos - start))))
-             with _ -> fail "bad number")
-        | _ -> fail "unexpected character"
-    in
-    match value () with
-    | Ok v ->
-        skip_ws ();
-        if !pos = n then Ok v else fail "trailing garbage"
-    | Error e -> Error e
-
-  let member (key : string) = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
-end
+  let open Monet_util in
+  let finding f =
+    Json.Obj
+      [ ("file", Json.Str f.f_file); ("line", Json.int f.f_line);
+        ("col", Json.int f.f_col); ("rule", Json.Str f.f_rule);
+        ("pass", Json.Str (pass_of_rule f.f_rule));
+        ("symbol", Json.Str f.f_symbol); ("message", Json.Str f.f_message);
+        ("suggestion", Json.Str f.f_suggestion) ]
+  in
+  let graph =
+    match r.r_graph with
+    | Some g ->
+        [ ("graph",
+            Json.Obj
+              [ ("defs", Json.int g.gs_defs); ("edges", Json.int g.gs_edges);
+                ("roots", Json.int g.gs_roots);
+                ("reachable", Json.int g.gs_reachable) ]) ]
+    | None -> []
+  in
+  Json.to_string
+    (Json.Obj
+       ([ ("schema", Json.Str json_schema_version);
+          ("files", Json.int r.r_files);
+          ("suppressed", Json.int r.r_suppressed) ]
+       @ graph
+       @ [ ("findings", Json.Arr (List.map finding r.r_findings)) ]))
 
 (** Validate a [--json] document against the monet-lint/2 shape: the
     v1 fields, a mandatory per-finding ["pass"] tag drawn from the
     pass vocabulary, and an optional whole-program ["graph"] object
     with integer [defs]/[edges]/[roots]/[reachable] counters. *)
 let validate_json (s : string) : (unit, string) result =
-  match Json.parse s with
-  | Error e -> Error e
-  | Ok doc -> (
-      let str_field o k = match Json.member k o with Some (Json.Str _) -> true | _ -> false in
-      let int_field o k = match Json.member k o with Some (Json.Int _) -> true | _ -> false in
-      match Json.member "schema" doc with
-      | Some (Json.Str v) when v = json_schema_version -> (
-          if not (int_field doc "files" && int_field doc "suppressed") then
-            Error "missing files/suppressed counters"
-          else
-            let graph_ok =
-              match Json.member "graph" doc with
-              | None -> Ok ()
-              | Some (Json.Obj _ as g) ->
-                  if
-                    int_field g "defs" && int_field g "edges"
-                    && int_field g "roots" && int_field g "reachable"
-                  then Ok ()
-                  else Error "graph object missing integer counters"
-              | Some _ -> Error "graph must be an object"
-            in
-            match graph_ok with
-            | Error e -> Error e
-            | Ok () -> (
-                match Json.member "findings" doc with
-                | Some (Json.Arr items) ->
-                    let bad =
-                      List.find_opt
-                        (fun f ->
-                          not
-                            (str_field f "file" && int_field f "line"
-                            && int_field f "col" && str_field f "rule"
-                            && str_field f "symbol" && str_field f "message"
-                            && str_field f "suggestion"
-                            &&
-                            match Json.member "pass" f with
-                            | Some (Json.Str p) ->
-                                (match Json.member "rule" f with
-                                | Some (Json.Str r) -> p = pass_of_rule r
-                                | _ -> false)
-                            | _ -> false))
-                        items
-                    in
-                    if bad = None then Ok () else Error "malformed finding record"
-                | _ -> Error "findings must be an array"))
-      | Some (Json.Str v) -> Error ("unknown schema version " ^ v)
-      | _ -> Error "missing schema field")
+  let open Monet_util in
+  let pass_matches_rule f =
+    match (Json.member "pass" f, Json.member "rule" f) with
+    | Some (Json.Str p), Some (Json.Str r) -> p = pass_of_rule r
+    | _ -> false
+  in
+  Json.Spec.(
+    validate
+      (Object
+         [ ("schema", tag json_schema_version); ("files", Count);
+           ("suppressed", Count);
+           ("graph",
+             Optional
+               (Object
+                  [ ("defs", Count); ("edges", Count); ("roots", Count);
+                    ("reachable", Count) ]));
+           ("findings",
+             Array
+               (Where
+                  ( Object
+                      [ ("file", String); ("line", Count); ("col", Count);
+                        ("rule", String); ("pass", String); ("symbol", String);
+                        ("message", String); ("suggestion", String) ],
+                    "a pass matching its rule",
+                    pass_matches_rule ))) ]))
+    s
