@@ -3,15 +3,15 @@
     One chaos run builds a fresh line network of [n_hops] MoChannels,
     installs a fault {!scenario} (fault plans on the links, plus
     scripted misbehaviour at precise protocol points), drives one
-    recoverable multi-hop payment through it on the discrete-event
-    clock, and then checks the {!Invariant}s: funds conserved, every
-    lock resolved, no double punishment. Everything derives from the
-    integer seed — a failing schedule replays exactly.
+    multi-hop payment through it ({!Monet_net.Payment.execute}) on the
+    discrete-event clock, and then checks the {!Invariant}s: funds
+    conserved, every lock resolved, no double punishment. Everything
+    derives from the integer seed — a failing schedule replays
+    exactly.
 
     The scenarios map to the paper's adversary model:
 
-    - [Happy]: no faults; the recoverable engine must behave like the
-      plain one.
+    - [Happy]: no faults; the executor takes no escalation branch.
     - [Flaky severity]: every link drops/delays/duplicates/withholds
       per a profile drawn from the seed. The driver's retransmission
       machinery absorbs transient faults; a link that dies outright
@@ -59,6 +59,7 @@ type outcome = {
   o_retransmits : int;
   o_faults_fired : int; (* link/party faults that actually triggered *)
   o_violations : string list; (* [] = all invariants held *)
+  o_channels : Ch.channel array; (* path order, as the run left them *)
 }
 
 (* Small-parameter configuration: the soak cares about protocol-level
@@ -246,7 +247,7 @@ let run ?(cfg = chaos_cfg) ?(n_hops = 3) ?(amount = 25) ~(seed : int)
               (Array.map (fun id -> (id, Invariant.wealth t id)) nodes)
           in
           match
-            Payment.execute_recoverable t ~path ~amount ~receiver_cooperates
+            Payment.execute t ~path ~amount ~receiver_cooperates
               ~tower ~clock ~on_locked ~base_timer:2_000 ~timer_delta:500 ()
           with
           | Error e -> Error ("payment: " ^ Payment.error_to_string e)
@@ -254,8 +255,8 @@ let run ?(cfg = chaos_cfg) ?(n_hops = 3) ?(amount = 25) ~(seed : int)
               let violations =
                 ref
                   (finalize_checks t ~edge_ids ~channel_of ~tower
-                     ~fates:r.Payment.r_fates ~wealth_before ~path ~amount
-                     ~delivered:r.Payment.r_delivered)
+                     ~fates:r.Payment.fates ~wealth_before ~path ~amount
+                     ~delivered:r.Payment.succeeded)
               in
               let retransmits = ref 0 in
               Array.iteri
@@ -267,17 +268,18 @@ let run ?(cfg = chaos_cfg) ?(n_hops = 3) ?(amount = 25) ~(seed : int)
               Ok
                 {
                   o_label = scenario_label scenario;
-                  o_delivered = r.Payment.r_delivered;
-                  o_fates = r.Payment.r_fates;
-                  o_disputes = r.Payment.r_disputes;
-                  o_punishments = r.Payment.r_punishments;
-                  o_timeouts = r.Payment.r_timeouts;
+                  o_delivered = r.Payment.succeeded;
+                  o_fates = r.Payment.fates;
+                  o_disputes = r.Payment.disputes;
+                  o_punishments = r.Payment.punishments;
+                  o_timeouts = r.Payment.timeouts;
                   o_retransmits = !retransmits;
                   o_faults_fired =
                     Array.fold_left
                       (fun acc p -> acc + Plan.faults_fired p)
                       0 plans;
                   o_violations = !violations;
+                  o_channels = Array.init n_hops channel_of;
                 }))
 
 (* --- crash–restart schedules ---------------------------------------
@@ -465,10 +467,8 @@ let crash_run ?(cfg = chaos_cfg) ?(n_hops = 3) ?(amount = 25) ~(seed : int)
               (Array.map (fun id -> (id, Invariant.wealth t id)) nodes)
           in
           match
-            Payment.execute_recoverable t ~path ~amount
-              ~receiver_cooperates:true ~tower ~clock
-              ~on_locked:(fun _ -> ())
-              ~base_timer:2_000 ~timer_delta:500 ()
+            Payment.execute t ~path ~amount ~tower ~clock ~base_timer:2_000
+              ~timer_delta:500 ()
           with
           | Error e -> Error ("payment: " ^ Payment.error_to_string e)
           | Ok r ->
@@ -505,20 +505,20 @@ let crash_run ?(cfg = chaos_cfg) ?(n_hops = 3) ?(amount = 25) ~(seed : int)
               in
               List.iter add
                 (finalize_checks t ~edge_ids ~channel_of ~tower
-                   ~fates:r.Payment.r_fates ~wealth_before ~path ~amount
-                   ~delivered:r.Payment.r_delivered);
+                   ~fates:r.Payment.fates ~wealth_before ~path ~amount
+                   ~delivered:r.Payment.succeeded);
               List.iter add (List.rev !recover_errors);
               Ok
                 {
                   c_label = crash_label mode;
-                  c_delivered = r.Payment.r_delivered;
+                  c_delivered = r.Payment.succeeded;
                   c_recoveries = !recoveries;
                   c_resumed = !resumed;
                   c_aborted = !aborted;
                   c_torn = !torn;
                   c_replayed = !replayed;
-                  c_disputes = r.Payment.r_disputes;
-                  c_punishments = r.Payment.r_punishments;
+                  c_disputes = r.Payment.disputes;
+                  c_punishments = r.Payment.punishments;
                   c_violations = !violations;
                 }))
 

@@ -1,7 +1,9 @@
-(** Multi-hop payments over MoNet (paper Fig. 5): Setup → Lock →
-    Unlock, with AMHL suffix-sum locks, onion-delivered hop packets,
-    cascade timers (τ decreasing toward the receiver) and cancellation
-    / dispute escalation on failure.
+(** Multi-hop payments over MoNet (paper Fig. 5): one executor walks
+    Setup → Lock → Unlock with AMHL suffix-sum locks, onion-delivered
+    hop packets and cascade timers (τ decreasing toward the receiver),
+    and escalates on failure — cooperative cancel, KES dispute, or
+    watchtower punishment — so a faultless payment and a faulted one
+    take the same code path.
 
     Each phase's computation is measured (CPU time) and its message
     legs counted, so the latency experiments can combine measured
@@ -20,9 +22,6 @@ type error =
   | No_route of string (* the router found no (disjoint) path *)
   | Onion of string (* onion wrap/peel failure *)
   | Packet_rejected of int (* hop (1-based) rejected its AMHL packet *)
-  | Timeout of int
-      (* hop (1-based) stayed silent past its deadline and the
-         escalation machinery could not resolve it either *)
   | Cancelled (* a multipath part was cancelled by the receiver *)
 
 let error_to_string = function
@@ -30,7 +29,6 @@ let error_to_string = function
   | No_route s -> "no route: " ^ s
   | Onion s -> "onion: " ^ s
   | Packet_rejected hop -> Printf.sprintf "hop %d rejected its AMHL packet" hop
-  | Timeout hop -> Printf.sprintf "hop %d timed out and could not be resolved" hop
   | Cancelled -> "part cancelled"
 
 type phase_stats = {
@@ -65,22 +63,31 @@ let onion_layer_bytes = 4096
 let hp_of_edge (e : Graph.edge) : Point.t =
   (Graph.channel_exn e).Ch.a.Ch.joint.Monet_sig.Two_party.hp
 
+(** How each hop of a payment ended up. *)
+type hop_fate =
+  | Hop_pending  (** never locked (failure hit an earlier hop first) *)
+  | Hop_unlocked  (** paid off-chain, channel stays open *)
+  | Hop_cancelled  (** cancelled cooperatively, channel stays open *)
+  | Hop_disputed of Ch.payout  (** force-closed through the KES *)
+  | Hop_punished of Ch.payout
+      (** the watchtower caught a stale broadcast and settled with
+          priority *)
+
 type outcome = {
   stats : phase_stats;
   path : Router.hop list;
-  succeeded : bool;
+  succeeded : bool; (* the receiver ended up paid (off- or on-chain) *)
+  fates : hop_fate array;
+  disputes : int;
+  punishments : int;
+  timeouts : int; (* channel sessions that hit their deadline *)
 }
 
-(** Execute a payment along [path]. [receiver_cooperates] = false
-    models a receiver that never reveals the final witness: all locks
-    are then cancelled (unlockability). [base_timer] seeds the cascade:
-    hop i gets base + (n - i)·delta so earlier hops outlive later
-    ones. Each hop locks its own fee-adjusted amount
-    ({!Router.amounts}): the receiver nets [amount] and every
-    intermediary keeps its forwarding fee when the cascade settles. *)
+let ( let* ) r f = match r with Ok x -> f x | Error e -> Error (e : error)
+
 let execute (t : Graph.t) ~(path : Router.hop list) ~(amount : int)
-    ?(receiver_cooperates = true) ?(base_timer = 60_000) ?(timer_delta = 10_000) () :
-    (outcome, error) result =
+    ?(receiver_cooperates = true) ?tower ?clock ?on_locked
+    ?(base_timer = 60_000) ?(timer_delta = 10_000) () : (outcome, error) result =
   Monet_obs.Trace.span "payment.execute"
     ~attrs:
       [ ("hops", string_of_int (List.length path));
@@ -92,7 +99,101 @@ let execute (t : Graph.t) ~(path : Router.hop list) ~(amount : int)
   if n = 0 then Error (No_route "empty path")
   else begin
     stats.n_hops <- n;
+    let fates = Array.make n Hop_pending in
+    let timeouts = ref 0 in
+    let delivered = ref false in
     let amts = Array.of_list (Router.amounts t ~amount path) in
+    let channel_of i = Graph.channel_exn hops.(i).Router.h_edge in
+    let timer i = base_timer + ((n - i) * timer_delta) in
+    let hop_attr i = [ ("hop", string_of_int (i + 1)) ] in
+    let charge (rep : Ch.report) =
+      stats.messages <- stats.messages + rep.Ch.messages;
+      stats.bytes <- stats.bytes + rep.Ch.bytes
+    in
+    let wait ms =
+      match clock with Some ck -> Monet_dsim.Clock.advance ck ms | None -> ()
+    in
+    (* A tower tick may punish any watched channel (not only the hop
+       being resolved): fold every punishment into the fates. *)
+    let absorb_tick (r : Monet_channel.Watchtower.tick_result) =
+      List.iter
+        (fun ((ch : Ch.channel), payout) ->
+          Array.iteri
+            (fun i (h : Router.hop) ->
+              if (Graph.channel_exn h.Router.h_edge).Ch.id = ch.Ch.id then
+                match fates.(i) with
+                | Hop_pending | Hop_cancelled | Hop_unlocked ->
+                    Monet_obs.Trace.event "payment.punish" ~attrs:(hop_attr i);
+                    fates.(i) <- Hop_punished payout
+                | Hop_disputed _ | Hop_punished _ -> ())
+            hops)
+        r.Monet_channel.Watchtower.punished
+    in
+    let tower_tick () =
+      match tower with
+      | Some tw -> absorb_tick (Monet_channel.Watchtower.tick tw)
+      | None -> ()
+    in
+    (* A hop went dark past its deadline: wait out its cascade timer,
+       let the watchtower race the mempool, then force the channel
+       through the KES. *)
+    let resolve_stuck i ~(proposer : Monet_sig.Two_party.role) ?lock_witness ()
+        : (unit, error) result =
+      wait (float_of_int (timer i));
+      tower_tick ();
+      match fates.(i) with
+      | Hop_punished _ -> Ok ()
+      | _ -> (
+          Monet_obs.Trace.event "payment.dispute" ~attrs:(hop_attr i);
+          match
+            Ch.dispute_close ?lock_witness (channel_of i) ~proposer
+              ~responsive:false
+          with
+          | Ok (payout, rep) ->
+              charge rep;
+              fates.(i) <- Hop_disputed payout;
+              Ok ()
+          | Error e ->
+              Error (Channel (Printf.sprintf "dispute hop %d" (i + 1), e)))
+    in
+    let resolve_cancel i : (unit, error) result =
+      if (channel_of i).Ch.a.Ch.closed then Ok () (* already settled on-chain *)
+      else
+        match
+          Monet_obs.Trace.span "payment.cancel" ~attrs:(hop_attr i) (fun () ->
+              Ch.cancel_lock (channel_of i))
+        with
+        | Ok rep ->
+            charge rep;
+            fates.(i) <- Hop_cancelled;
+            Ok ()
+        | Error e when Monet_channel.Errors.is_timeout e ->
+            incr timeouts;
+            resolve_stuck i ~proposer:(role_of_payer hops.(i)) ()
+        | Error e -> Error (Channel (Printf.sprintf "cancel hop %d" (i + 1), e))
+    in
+    (* Cancel hops [i] down to 0, each after its timer expires. *)
+    let rec cancel_down i : (unit, error) result =
+      if i < 0 then Ok ()
+      else begin
+        wait (float_of_int (timer i));
+        let* () = resolve_cancel i in
+        cancel_down (i - 1)
+      end
+    in
+    let finish () =
+      let count f = Array.fold_left (fun acc x -> if f x then acc + 1 else acc) 0 fates in
+      Ok
+        {
+          stats;
+          path;
+          succeeded = !delivered;
+          fates;
+          disputes = count (function Hop_disputed _ -> true | _ -> false);
+          punishments = count (function Hop_punished _ -> true | _ -> false);
+          timeouts = !timeouts;
+        }
+    in
     (* --- Setup (sender) --- *)
     let (amhl, onion), setup_ms =
       Monet_obs.Trace.span "payment.setup" @@ fun () ->
@@ -122,347 +223,39 @@ let execute (t : Graph.t) ~(path : Router.hop list) ~(amount : int)
     stats.messages <- stats.messages + n (* onion forwarded hop by hop *);
     stats.bytes <- stats.bytes + (n * String.length onion);
     (* Relays peel and verify their packets. *)
-    let verify_packets () =
-      let rec go i onion =
-        if i >= n then Ok ()
-        else begin
-          let h = hops.(i) in
-          let payee = Graph.peer_of h.Router.h_edge ~node_id:h.Router.h_payer in
-          let node = Graph.node t payee in
-          let sk = (Graph.onion_of node).Monet_sig.Sig_core.sk in
-          match
-            Monet_amhl.Onion.peel
-              ~repad:((Graph.wallet_of node).Monet_xmr.Wallet.g, onion_layer_bytes)
-              ~sk onion
-          with
-          | Error e -> Error (Onion e)
-          | Ok (_payload, next) ->
-              if Monet_amhl.Amhl.verify_hop ~hp:(hp_of_edge h.Router.h_edge)
-                   amhl.Monet_amhl.Amhl.packets.(i)
-              then go (i + 1) next
-              else
-                Error (Packet_rejected (i + 1))
-        end
-      in
-      go 0 onion
-    in
-    match verify_packets () with
-    | Error e -> Error e
-    | Ok () -> (
-        (* --- Lock, sender → receiver --- *)
-        let rec lock_all i =
-          if i >= n then Ok ()
-          else begin
-            let h = hops.(i) in
-            let timer = base_timer + ((n - i) * timer_delta) in
-            let lock_stmt =
-              amhl.Monet_amhl.Amhl.locks.(i).Monet_sig.Stmt.stmt
-            in
-            let r, ms =
-              Monet_obs.Trace.span "payment.lock"
-                ~attrs:[ ("hop", string_of_int (i + 1)) ]
-              @@ fun () ->
-              timed (fun () ->
-                  Ch.lock (Graph.channel_exn h.Router.h_edge)
-                    ~payer:(role_of_payer h) ~amount:amts.(i) ~lock_stmt ~timer)
-            in
-            stats.lock_ms <- stats.lock_ms +. ms;
-            match r with
-            | Error e -> Error (Channel (Printf.sprintf "lock hop %d" (i + 1), e))
-            | Ok rep ->
-                stats.messages <- stats.messages + rep.Ch.messages;
-                stats.bytes <- stats.bytes + rep.Ch.bytes;
-                lock_all (i + 1)
-          end
-        in
-        match lock_all 0 with
-        | Error e -> Error e
-        | Ok () ->
-            if not receiver_cooperates then begin
-              (* Receiver never reveals: every hop cancels after its
-                 timer — unlockability without any on-chain action in
-                 the cooperative-cancel case. *)
-              let rec cancel_all i =
-                if i < 0 then Ok ()
-                else
-                  match
-                    Monet_obs.Trace.span "payment.cancel"
-                      ~attrs:[ ("hop", string_of_int (i + 1)) ]
-                      (fun () ->
-                        Ch.cancel_lock (Graph.channel_exn hops.(i).Router.h_edge))
-                  with
-                  | Error e ->
-                      Error (Channel (Printf.sprintf "cancel hop %d" (i + 1), e))
-                  | Ok rep ->
-                      stats.messages <- stats.messages + rep.Ch.messages;
-                      stats.bytes <- stats.bytes + rep.Ch.bytes;
-                      cancel_all (i - 1)
-              in
-              match cancel_all (n - 1) with
-              | Error e -> Error e
-              | Ok () -> Ok { stats; path; succeeded = false }
-            end
-            else begin
-              (* --- Unlock, receiver → sender --- *)
-              let rec unlock_all i (w : Sc.t) =
-                if i < 0 then Ok ()
-                else begin
-                  let r, ms =
-                    Monet_obs.Trace.span "payment.unlock"
-                      ~attrs:[ ("hop", string_of_int (i + 1)) ]
-                    @@ fun () ->
-                    timed (fun () ->
-                        Ch.unlock (Graph.channel_exn hops.(i).Router.h_edge) ~y:w)
-                  in
-                  stats.unlock_ms <- stats.unlock_ms +. ms;
-                  match r with
-                  | Error e ->
-                      Error (Channel (Printf.sprintf "unlock hop %d" (i + 1), e))
-                  | Ok (rep, extracted) ->
-                      stats.messages <- stats.messages + rep.Ch.messages;
-                      stats.bytes <- stats.bytes + rep.Ch.bytes;
-                      if i = 0 then Ok ()
-                      else begin
-                        (* The payer of hop i cascades: w_{i-1} = y_{i-1} + w_i *)
-                        let w' =
-                          Monet_amhl.Amhl.cascade
-                            ~y:amhl.Monet_amhl.Amhl.wits.(i - 1) ~w_next:extracted
-                        in
-                        unlock_all (i - 1) w'
-                      end
-                end
-              in
-              match unlock_all (n - 1) amhl.Monet_amhl.Amhl.combined.(n - 1) with
-              | Error e -> Error e
-              | Ok () -> Ok { stats; path; succeeded = true }
-            end)
-  end
-
-(** Worst-case failure (the paper's 1-Monero-tx + 2-script-tx bound):
-    the receiver neither unlocks nor cooperates to cancel the last
-    hop, so its channel is force-closed through the KES at the
-    pre-lock state; all earlier hops cancel cooperatively and stay
-    open. Call after an [execute] that locked the path — here we run
-    the lock phase ourselves for convenience. *)
-let fail_with_last_hop_dispute (t : Graph.t) ~(path : Router.hop list)
-    ~(amount : int) () : (Ch.payout * phase_stats, error) result =
-  let stats = fresh_stats () in
-  let hops = Array.of_list path in
-  let n = Array.length hops in
-  if n = 0 then Error (No_route "empty path")
-  else begin
-    stats.n_hops <- n;
-    let amts = Array.of_list (Router.amounts t ~amount path) in
-    let hps = Array.map (fun h -> hp_of_edge h.Router.h_edge) hops in
-    let amhl = Monet_amhl.Amhl.setup t.Graph.g ~hps in
-    let rec lock_all i =
+    let rec verify i onion =
       if i >= n then Ok ()
-      else
-        match
-          Ch.lock
-            (Graph.channel_exn hops.(i).Router.h_edge)
-            ~payer:(role_of_payer hops.(i)) ~amount:amts.(i)
-            ~lock_stmt:amhl.Monet_amhl.Amhl.locks.(i).Monet_sig.Stmt.stmt
-            ~timer:(60_000 + ((n - i) * 10_000))
-        with
-        | Error e -> Error (Channel (Printf.sprintf "lock hop %d" (i + 1), e))
-        | Ok rep ->
-            stats.messages <- stats.messages + rep.Ch.messages;
-            lock_all (i + 1)
-    in
-    match lock_all 0 with
-    | Error e -> Error e
-    | Ok () ->
-        (* Hops 1..n-1 cancel cooperatively (their peers are rational
-           and want to keep transacting)... *)
-        let rec cancel_upto i =
-          if i < 0 then Ok ()
-          else
-            match Ch.cancel_lock (Graph.channel_exn hops.(i).Router.h_edge) with
-            | Error e -> Error (Channel (Printf.sprintf "cancel hop %d" (i + 1), e))
-            | Ok _ -> cancel_upto (i - 1)
-        in
-        (match cancel_upto (n - 2) with
-        | Error e -> Error e
-        | Ok () ->
-            (* ...but the receiver stonewalls the last hop, whose payer
-               escalates to the KES. *)
-            let last = hops.(n - 1) in
-            let proposer = role_of_payer last in
-            Ch.dispute_close (Graph.channel_exn last.Router.h_edge) ~proposer
-              ~responsive:false
-            |> Result.map (fun (payout, _rep) -> (payout, stats))
-            |> Result.map_error (fun e -> Channel ("dispute close", e)))
-  end
-
-(* --- fault recovery: the cascade-timeout escalation engine -------------- *)
-
-(** How each hop of a recoverable payment ended up. *)
-type hop_fate =
-  | Hop_pending  (** never locked (failure hit an earlier hop first) *)
-  | Hop_unlocked  (** paid off-chain, channel stays open *)
-  | Hop_cancelled  (** cancelled cooperatively, channel stays open *)
-  | Hop_disputed of Ch.payout  (** force-closed through the KES *)
-  | Hop_punished of Ch.payout
-      (** the watchtower caught a stale broadcast and settled with
-          priority *)
-
-type recovered = {
-  r_stats : phase_stats;
-  r_fates : hop_fate array;
-  r_delivered : bool; (* the receiver ended up paid (off- or on-chain) *)
-  r_disputes : int;
-  r_punishments : int;
-  r_timeouts : int; (* channel sessions that hit their deadline *)
-}
-
-let ( let* ) r f = match r with Ok x -> f x | Error e -> Error (e : error)
-
-(** Like {!execute}, but faults never escape as hard errors: when a
-    hop's channel session times out (its counterparty stayed silent
-    past the driver deadline — see {!Monet_channel.Driver}), the
-    engine escalates exactly as the paper's Fig. 5 prescribes. It
-    waits out the hop's cascade timer τ (advancing [clock]), gives the
-    watchtower [tower] a tick (the silent party may have broadcast a
-    stale commitment — punished with priority), and otherwise forces
-    the stuck channel through the KES dispute path; hops upstream of a
-    lock-phase failure cancel cooperatively (escalating the same way
-    if their counterparty is silent too). A hop that goes dark
-    mid-unlock is settled *at the locked state* with the witness the
-    payee already holds, so the cascade continues upstream and every
-    honest intermediary stays made whole. Channel errors other than
-    timeouts still surface as [Error]: they indicate protocol
-    violations, not silence. *)
-let execute_recoverable (t : Graph.t) ~(path : Router.hop list) ~(amount : int)
-    ?(receiver_cooperates = true) ?tower ?clock ?on_locked
-    ?(base_timer = 60_000) ?(timer_delta = 10_000) () : (recovered, error) result
-    =
-  Monet_obs.Trace.span "payment.execute-recoverable"
-    ~attrs:
-      [ ("hops", string_of_int (List.length path));
-        ("amount", string_of_int amount) ]
-  @@ fun () ->
-  let stats = fresh_stats () in
-  let hops = Array.of_list path in
-  let n = Array.length hops in
-  if n = 0 then Error (No_route "empty path")
-  else begin
-    stats.n_hops <- n;
-    let fates = Array.make n Hop_pending in
-    let timeouts = ref 0 in
-    let delivered = ref false in
-    let amts = Array.of_list (Router.amounts t ~amount path) in
-    let channel_of i = Graph.channel_exn hops.(i).Router.h_edge in
-    let tau i = float_of_int (base_timer + ((n - i) * timer_delta)) in
-    let charge (rep : Ch.report) =
-      stats.messages <- stats.messages + rep.Ch.messages;
-      stats.bytes <- stats.bytes + rep.Ch.bytes
-    in
-    let wait ms =
-      match clock with Some ck -> Monet_dsim.Clock.advance ck ms | None -> ()
-    in
-    (* A tower tick may punish any watched channel (not only the hop
-       being resolved): fold every punishment into the fates. *)
-    let absorb_tick (r : Monet_channel.Watchtower.tick_result) =
-      List.iter
-        (fun ((ch : Ch.channel), payout) ->
-          Array.iteri
-            (fun i (h : Router.hop) ->
-              if (Graph.channel_exn h.Router.h_edge).Ch.id = ch.Ch.id then
-                match fates.(i) with
-                | Hop_pending | Hop_cancelled | Hop_unlocked ->
-                    Monet_obs.Trace.event "payment.punish"
-                      ~attrs:[ ("hop", string_of_int (i + 1)) ];
-                    fates.(i) <- Hop_punished payout
-                | Hop_disputed _ | Hop_punished _ -> ())
-            hops)
-        r.Monet_channel.Watchtower.punished
-    in
-    let tower_tick () =
-      match tower with
-      | Some tw -> absorb_tick (Monet_channel.Watchtower.tick tw)
-      | None -> ()
-    in
-    (* A hop went dark past its deadline: wait out its cascade timer,
-       let the watchtower race the mempool, then force the channel
-       through the KES. *)
-    let resolve_stuck i ~(proposer : Monet_sig.Two_party.role) ?lock_witness ()
-        : (unit, error) result =
-      wait (tau i);
-      tower_tick ();
-      match fates.(i) with
-      | Hop_punished _ -> Ok ()
-      | _ -> (
-          Monet_obs.Trace.event "payment.dispute"
-            ~attrs:[ ("hop", string_of_int (i + 1)) ];
-          match
-            Ch.dispute_close ?lock_witness (channel_of i) ~proposer
-              ~responsive:false
-          with
-          | Ok (payout, rep) ->
-              charge rep;
-              fates.(i) <- Hop_disputed payout;
-              Ok ()
-          | Error e ->
-              Error (Channel (Printf.sprintf "dispute hop %d" (i + 1), e)))
-    in
-    let resolve_cancel i : (unit, error) result =
-      if (channel_of i).Ch.a.Ch.closed then Ok () (* already settled on-chain *)
-      else
-        match Ch.cancel_lock (channel_of i) with
-        | Ok rep ->
-            charge rep;
-            fates.(i) <- Hop_cancelled;
-            Ok ()
-        | Error e when Monet_channel.Errors.is_timeout e ->
-            incr timeouts;
-            resolve_stuck i ~proposer:(role_of_payer hops.(i)) ()
-        | Error e -> Error (Channel (Printf.sprintf "cancel hop %d" (i + 1), e))
-    in
-    (* Cancel hops [i] down to 0, each after its timer expires. *)
-    let rec cancel_down i : (unit, error) result =
-      if i < 0 then Ok ()
       else begin
-        wait (tau i);
-        let* () = resolve_cancel i in
-        cancel_down (i - 1)
+        let h = hops.(i) in
+        let payee = Graph.peer_of h.Router.h_edge ~node_id:h.Router.h_payer in
+        let node = Graph.node t payee in
+        let sk = (Graph.onion_of node).Monet_sig.Sig_core.sk in
+        match
+          Monet_amhl.Onion.peel
+            ~repad:((Graph.wallet_of node).Monet_xmr.Wallet.g, onion_layer_bytes)
+            ~sk onion
+        with
+        | Error e -> Error (Onion e)
+        | Ok (_payload, next) ->
+            if
+              Monet_amhl.Amhl.verify_hop ~hp:(hp_of_edge h.Router.h_edge)
+                amhl.Monet_amhl.Amhl.packets.(i)
+            then verify (i + 1) next
+            else Error (Packet_rejected (i + 1))
       end
     in
-    let finish () =
-      let count f = Array.fold_left (fun acc x -> if f x then acc + 1 else acc) 0 fates in
-      Ok
-        {
-          r_stats = stats;
-          r_fates = fates;
-          r_delivered = !delivered;
-          r_disputes = count (function Hop_disputed _ -> true | _ -> false);
-          r_punishments = count (function Hop_punished _ -> true | _ -> false);
-          r_timeouts = !timeouts;
-        }
-    in
-    (* --- Setup: AMHL locks + per-hop verification --- *)
-    let hps = Array.map (fun h -> hp_of_edge h.Router.h_edge) hops in
-    let amhl, setup_ms = timed (fun () -> Monet_amhl.Amhl.setup t.Graph.g ~hps) in
-    stats.setup_ms <- setup_ms;
-    let rec verify i =
-      if i >= n then Ok ()
-      else if
-        Monet_amhl.Amhl.verify_hop ~hp:hps.(i) amhl.Monet_amhl.Amhl.packets.(i)
-      then verify (i + 1)
-      else Error (Packet_rejected (i + 1))
-    in
-    let* () = verify 0 in
+    let* () = verify 0 onion in
     (* --- Lock, sender → receiver --- *)
     let rec lock_all i : (bool, error) result =
       if i >= n then Ok true
       else begin
-        let h = hops.(i) in
         let r, ms =
+          Monet_obs.Trace.span "payment.lock" ~attrs:(hop_attr i) @@ fun () ->
           timed (fun () ->
-              Ch.lock (channel_of i) ~payer:(role_of_payer h)
+              Ch.lock (channel_of i) ~payer:(role_of_payer hops.(i))
                 ~amount:amts.(i)
                 ~lock_stmt:amhl.Monet_amhl.Amhl.locks.(i).Monet_sig.Stmt.stmt
-                ~timer:(base_timer + ((n - i) * timer_delta)))
+                ~timer:(timer i))
         in
         stats.lock_ms <- stats.lock_ms +. ms;
         match r with
@@ -476,7 +269,7 @@ let execute_recoverable (t : Graph.t) ~(path : Router.hop list) ~(amount : int)
                already-locked upstream hops cancel, closest to the
                failure point first. *)
             incr timeouts;
-            let* () = resolve_stuck i ~proposer:(role_of_payer h) () in
+            let* () = resolve_stuck i ~proposer:(role_of_payer hops.(i)) () in
             let* () = cancel_down (i - 1) in
             Ok false
         | Error e -> Error (Channel (Printf.sprintf "lock hop %d" (i + 1), e))
@@ -485,9 +278,10 @@ let execute_recoverable (t : Graph.t) ~(path : Router.hop list) ~(amount : int)
     let* complete = lock_all 0 in
     if not complete then finish ()
     else if not receiver_cooperates then begin
-      (* The receiver holds a completed lock and goes dark: every hop
-         waits out its timer and cancels; silent counterparties turn
-         the cancel into a KES dispute at the pre-lock state. *)
+      (* The receiver holds a completed lock and never reveals: every
+         hop waits out its timer and cancels (unlockability); silent
+         counterparties turn the cancel into a KES dispute at the
+         pre-lock state. *)
       let* () = cancel_down (n - 1) in
       finish ()
     end
@@ -496,21 +290,25 @@ let execute_recoverable (t : Graph.t) ~(path : Router.hop list) ~(amount : int)
       let rec unlock_all i (w : Sc.t) : (unit, error) result =
         if i < 0 then Ok ()
         else begin
-          let continue_up () =
+          (* The payer of hop i cascades: w_{i-1} = y_{i-1} + w_i *)
+          let continue_up w_i =
             if i = 0 then Ok ()
             else
               unlock_all (i - 1)
                 (Monet_amhl.Amhl.cascade ~y:amhl.Monet_amhl.Amhl.wits.(i - 1)
-                   ~w_next:w)
+                   ~w_next:w_i)
           in
-          let r, ms = timed (fun () -> Ch.unlock (channel_of i) ~y:w) in
+          let r, ms =
+            Monet_obs.Trace.span "payment.unlock" ~attrs:(hop_attr i) @@ fun () ->
+            timed (fun () -> Ch.unlock (channel_of i) ~y:w)
+          in
           stats.unlock_ms <- stats.unlock_ms +. ms;
           match r with
-          | Ok (rep, _extracted) ->
+          | Ok (rep, extracted) ->
               charge rep;
               fates.(i) <- Hop_unlocked;
               if i = n - 1 then delivered := true;
-              continue_up ()
+              continue_up extracted
           | Error e when Monet_channel.Errors.is_timeout e ->
               (* The payee holds the witness: settle the locked state
                  on-chain (dispute with [lock_witness]) unless the
@@ -524,10 +322,11 @@ let execute_recoverable (t : Graph.t) ~(path : Router.hop list) ~(amount : int)
               let* () = resolve_stuck i ~proposer:payee ~lock_witness:w () in
               (match fates.(i) with
               | Hop_disputed _ ->
-                  (* The witness is on-chain: the payer extracts it and
-                     the cascade continues upstream. *)
+                  (* The settled close reveals [w] on-chain: the payer
+                     learns it there and the cascade continues
+                     upstream. *)
                   if i = n - 1 then delivered := true;
-                  continue_up ()
+                  continue_up w
               | _ ->
                   (* Punished at the pre-lock state: the witness was
                      never revealed, so upstream hops cancel. *)
@@ -561,26 +360,7 @@ let latency_full_rounds_ms (o : outcome) ~(network_ms : float) : float =
   let compute = o.stats.setup_ms +. o.stats.lock_ms +. o.stats.unlock_ms in
   (float_of_int o.stats.messages *. network_ms) +. compute
 
-(* --- fees and multi-path ------------------------------------------------ *)
-
-(** Per-hop amounts when intermediaries charge forwarding fees —
-    {!Router.amounts} under the payment-layer name callers know: the
-    receiver nets [amount]; hop i additionally carries the fees of
-    every intermediary downstream of it, each of whom keeps its fee
-    (base + proportional, {!Graph.fee_of}) as the difference between
-    what it receives and what it forwards. *)
-let amounts_with_fees (t : Graph.t) ~(path : Router.hop list) ~(amount : int) :
-    int list =
-  Router.amounts t ~amount path
-
-(** {!execute} (which charges per-hop fees itself) paired with the
-    total the sender paid on the first hop. *)
-let execute_with_fees (t : Graph.t) ~(path : Router.hop list) ~(amount : int) () :
-    (outcome * int, error) result =
-  match amounts_with_fees t ~path ~amount with
-  | [] -> Error (No_route "empty path")
-  | total_sent :: _ ->
-      Result.map (fun o -> (o, total_sent)) (execute t ~path ~amount ())
+(* --- multi-path ------------------------------------------------------ *)
 
 (** Multi-path payment: split [amount] greedily over capacity-disjoint
     routes (each part bounded by its bottleneck). Parts are individual

@@ -485,12 +485,28 @@ let test_chaos_silent_receiver_cancels_cascade () =
   let o = run_scenario Chaos.Silent_receiver in
   check_conserved o;
   Alcotest.(check bool) "not delivered" false o.Chaos.o_delivered;
+  (* The paper's unlockability worst case: the last channel closes
+     through the KES at its pre-lock state; the upstream hops cancel
+     and stay open. Every channel entered the payment at 480/520 after
+     the harness's two warm-up updates of 10 from A. *)
   (match o.Chaos.o_fates with
-  | [| Payment.Hop_cancelled; Payment.Hop_cancelled; Payment.Hop_disputed _ |]
+  | [| Payment.Hop_cancelled; Payment.Hop_cancelled; Payment.Hop_disputed p |]
     ->
-      ()
+      Alcotest.(check (pair int int)) "disputed at the pre-payment balances"
+        (480, 520) (p.pay_a, p.pay_b)
   | _ -> Alcotest.fail "expected upstream cancels + receiver-hop dispute");
-  Alcotest.(check int) "one dispute" 1 o.Chaos.o_disputes
+  Alcotest.(check int) "one dispute" 1 o.Chaos.o_disputes;
+  Alcotest.(check bool) "last channel closed" true
+    o.Chaos.o_channels.(2).a.closed;
+  Array.iteri
+    (fun i (c : channel) ->
+      if i < 2 then begin
+        Alcotest.(check bool) (Printf.sprintf "hop %d open" (i + 1)) false c.a.closed;
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "hop %d balances restored" (i + 1))
+          (480, 520) (c.a.my_balance, c.b.my_balance)
+      end)
+    o.Chaos.o_channels
 
 let test_chaos_cheating_hop_is_punished () =
   let o = run_scenario (Chaos.Cheating_hop 1) in

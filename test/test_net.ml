@@ -80,9 +80,19 @@ let test_onion_wrong_key () =
 
 (* --- graph + routing + payment --- *)
 
-let line_network ?(n = 3) ?(bal = 50) label =
+(* A payment that needed no escalation: every hop ended in [fate] and
+   nothing timed out, went to the KES or was punished. *)
+let check_no_escalation ~(fate : Payment.hop_fate) (o : Payment.outcome) =
+  Array.iteri
+    (fun i f ->
+      Alcotest.(check bool) (Printf.sprintf "hop %d fate" (i + 1)) true (f = fate))
+    o.Payment.fates;
+  Alcotest.(check (list int)) "disputes, punishments, timeouts" [ 0; 0; 0 ]
+    [ o.Payment.disputes; o.Payment.punishments; o.Payment.timeouts ]
+
+let line_network ?(cfg = test_cfg) ?(n = 3) ?(bal = 50) label =
   (* n nodes in a line: 0 - 1 - ... - (n-1) *)
-  let t = Graph.create ~cfg:test_cfg (Monet_hash.Drbg.split drbg label) in
+  let t = Graph.create ~cfg (Monet_hash.Drbg.split drbg label) in
   let ids = Array.init n (fun i -> Graph.add_node t ~name:(Printf.sprintf "n%d" i)) in
   Array.iter (fun id -> Graph.fund_node t id ~amount:(2 * bal)) ids;
   for i = 0 to n - 2 do
@@ -116,6 +126,7 @@ let test_multihop_payment () =
   | Ok outcome ->
       Alcotest.(check bool) "succeeded" true outcome.Payment.succeeded;
       Alcotest.(check int) "2 hops" 2 outcome.Payment.stats.Payment.n_hops;
+      check_no_escalation ~fate:Payment.Hop_unlocked outcome;
       (* Balance shifts: 0 paid 10 on edge 1; 1 paid 10 on edge 2. *)
       let e1 = Graph.edge t 1 and e2 = Graph.edge t 2 in
       Alcotest.(check int) "edge1 left" 40 (Graph.balance_of e1 ~node_id:ids.(0));
@@ -134,6 +145,7 @@ let test_multihop_atomicity_on_cancel () =
   | Error e -> Alcotest.failf "pay: %s" (Payment.error_to_string e)
   | Ok outcome ->
       Alcotest.(check bool) "failed as expected" false outcome.Payment.succeeded;
+      check_no_escalation ~fate:Payment.Hop_cancelled outcome;
       List.iter
         (fun (e : Graph.edge) ->
           Alcotest.(check int)
@@ -153,6 +165,50 @@ let test_multihop_long_path () =
       Alcotest.(check int) "receiver credited" 57
         (Graph.balance_of last ~node_id:ids.(5))
 
+let test_worst_case_last_hop_dispute () =
+  (* The paper's unlockability worst case: the receiver takes the lock
+     and goes silent; the last hop closes through the KES at the
+     pre-lock state; earlier hops cancel and stay open. *)
+  let t, ids = line_network ~n:4 "wc" in
+  let last = Graph.edge t 3 in
+  let clock = Monet_dsim.Clock.create () in
+  let plan = Monet_fault.Plan.none () in
+  let ch = Graph.channel_exn last in
+  ch.Ch.transport <-
+    Monet_channel.Driver.Scheduled
+      { clock; latency = Monet_dsim.Latency.Fixed 5.0;
+        g = Monet_hash.Drbg.split drbg "wc/lat" };
+  Ch.set_faults ch (Some (Ch.make_faults ~deadline_ms:100.0 plan));
+  let on_locked i = if i = 2 then Monet_fault.Plan.kill plan in
+  match Router.find_path t ~src:ids.(0) ~dst:ids.(3) ~amount:10 with
+  | Error e -> Alcotest.fail e
+  | Ok path -> (
+      match
+        Payment.execute t ~path ~amount:10 ~receiver_cooperates:false ~clock
+          ~on_locked ()
+      with
+      | Error e -> Alcotest.failf "worst case: %s" (Payment.error_to_string e)
+      | Ok o -> (
+          Alcotest.(check bool) "receiver not paid" false o.Payment.succeeded;
+          Alcotest.(check int) "one dispute" 1 o.Payment.disputes;
+          match o.Payment.fates with
+          | [| Payment.Hop_cancelled; Payment.Hop_cancelled; Payment.Hop_disputed payout |] ->
+              (* Last channel settled at pre-lock balances (50/50). *)
+              Alcotest.(check int) "payer side payout" 50 payout.Ch.pay_a;
+              Alcotest.(check int) "receiver side payout" 50 payout.Ch.pay_b;
+              Alcotest.(check bool) "last channel closed" true
+                (Graph.channel_exn last).Ch.a.Ch.closed;
+              (* Earlier channels remain open at original balances. *)
+              List.iter
+                (fun eid ->
+                  let e = Graph.edge t eid in
+                  Alcotest.(check bool) (Printf.sprintf "edge %d open" eid) true
+                    (Graph.is_open e);
+                  Alcotest.(check int) "balances restored" 50
+                    (Graph.balance_of e ~node_id:e.Graph.e_left))
+                [ 1; 2 ]
+          | _ -> Alcotest.fail "expected upstream cancels + last-hop dispute"))
+
 let test_latency_model () =
   let t, ids = line_network ~n:3 "lat" in
   match Payment.pay t ~src:ids.(0) ~dst:ids.(2) ~amount:5 () with
@@ -164,33 +220,29 @@ let test_latency_model () =
       Alcotest.(check bool) "full-rounds model is slower" true
         (Payment.latency_full_rounds_ms o ~network_ms:60.0 > l)
 
-
-let test_worst_case_last_hop_dispute () =
-  (* The paper's unlockability worst case: receiver stonewalls; the
-     last hop closes through the KES at the pre-lock state; earlier
-     hops cancel and stay open. *)
-  let t, ids = line_network ~n:4 "wc" in
-  match Router.find_path t ~src:ids.(0) ~dst:ids.(3) ~amount:10 with
-  | Error e -> Alcotest.fail e
-  | Ok path -> (
-      match Payment.fail_with_last_hop_dispute t ~path ~amount:10 () with
-      | Error e -> Alcotest.failf "worst case: %s" (Payment.error_to_string e)
-      | Ok (payout, _) ->
-          (* Last channel settled at pre-lock balances (50/50). *)
-          Alcotest.(check int) "payer side payout" 50 payout.Ch.pay_a;
-          Alcotest.(check int) "receiver side payout" 50 payout.Ch.pay_b;
-          let last = Graph.edge t 3 in
-          Alcotest.(check bool) "last channel closed" true
-            (Graph.channel_exn last).Ch.a.Ch.closed;
-          (* Earlier channels remain open at original balances. *)
-          List.iter
-            (fun eid ->
-              let e = Graph.edge t eid in
-              Alcotest.(check bool) (Printf.sprintf "edge %d open" eid) true
-                (Graph.is_open e);
-              Alcotest.(check int) "balances restored" 50
-                (Graph.balance_of e ~node_id:e.Graph.e_left))
-            [ 1; 2 ])
+(* The report counts the E-series tables print, pinned on the default
+   configuration: each hop costs the same messages and bytes, the
+   onion is one fixed-size layer, and a non-cooperative receiver adds
+   the cancel cascade. *)
+let test_report_counts_pinned () =
+  List.iter
+    (fun (hops, receiver_cooperates, messages, bytes) ->
+      let label = Printf.sprintf "counts-%d-%b" hops receiver_cooperates in
+      let t, ids = line_network ~cfg:Ch.default_config ~n:(hops + 1) ~bal:500 label in
+      match Router.find_path t ~src:ids.(0) ~dst:ids.(hops) ~amount:10 with
+      | Error e -> Alcotest.fail e
+      | Ok path -> (
+          match Payment.execute t ~path ~amount:10 ~receiver_cooperates () with
+          | Error e -> Alcotest.failf "%s: %s" label (Payment.error_to_string e)
+          | Ok o ->
+              let s = o.Payment.stats in
+              Alcotest.(check bool) (label ^ " succeeded") receiver_cooperates
+                o.Payment.succeeded;
+              Alcotest.(check int) (label ^ " messages") messages s.Payment.messages;
+              Alcotest.(check int) (label ^ " bytes") bytes s.Payment.bytes;
+              Alcotest.(check int) (label ^ " onion bytes") 4096 s.Payment.onion_bytes))
+    [ (1, true, 10, 23237); (2, true, 20, 46474); (3, true, 30, 69711);
+      (3, false, 51, 124584) ]
 
 let test_watchtower_punishes () =
   let t, ids = line_network ~n:2 "wt" in
@@ -333,13 +385,12 @@ let test_routing_fees () =
   (match Router.find_path t ~src:ids.(0) ~dst:ids.(2) ~amount:12 with
   | Error e -> Alcotest.fail e
   | Ok path -> (
-      Alcotest.(check (list int)) "fee-adjusted amounts" [ 12; 10 ]
-        (Payment.amounts_with_fees t ~path ~amount:10);
-      match Payment.execute_with_fees t ~path ~amount:10 () with
+      let amounts = Router.amounts t ~amount:10 path in
+      Alcotest.(check (list int)) "fee-adjusted amounts" [ 12; 10 ] amounts;
+      Alcotest.(check int) "sender cost incl. fee" 12 (List.hd amounts);
+      match Payment.execute t ~path ~amount:10 () with
       | Error e -> Alcotest.fail (Payment.error_to_string e)
-      | Ok (o, total_sent) ->
-          Alcotest.(check bool) "succeeded" true o.Payment.succeeded;
-          Alcotest.(check int) "sender cost incl. fee" 12 total_sent));
+      | Ok o -> Alcotest.(check bool) "succeeded" true o.Payment.succeeded));
   let e1 = Graph.edge t 1 and e2 = Graph.edge t 2 in
   Alcotest.(check int) "alice paid 12" 38 (Graph.balance_of e1 ~node_id:ids.(0));
   Alcotest.(check int) "bob kept the fee" 102
@@ -399,8 +450,9 @@ let tests =
     Alcotest.test_case "multi-hop payment" `Quick test_multihop_payment;
     Alcotest.test_case "atomic cancel" `Quick test_multihop_atomicity_on_cancel;
     Alcotest.test_case "long path" `Quick test_multihop_long_path;
-    Alcotest.test_case "latency model" `Quick test_latency_model;
     Alcotest.test_case "worst-case last-hop dispute" `Quick test_worst_case_last_hop_dispute;
+    Alcotest.test_case "latency model" `Quick test_latency_model;
+    Alcotest.test_case "report counts pinned" `Quick test_report_counts_pinned;
     Alcotest.test_case "watchtower punishes" `Quick test_watchtower_punishes;
     Alcotest.test_case "watchtower on clock" `Quick test_watchtower_scheduled_on_clock;
     Alcotest.test_case "onion fixed-size privacy" `Quick test_onion_fixed_size_privacy;
