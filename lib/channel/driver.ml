@@ -105,7 +105,7 @@ let run_generic ~(mode : mode) ~(rep : Report.t)
     if !err = None then begin
       let d = depth + 1 in
       if d > !max_depth then max_depth := d;
-      Report.deliver rep m;
+      Report.deliver rep ~bytes:(Msg.size m) m;
       record m;
       match handle_traced handle dest m with
       | Error e -> fail e
@@ -275,7 +275,8 @@ let run_faulty ?(store_a : restart_hooks option) ?(store_b : restart_hooks optio
           Plan.note_delivery plan;
           let d = depth + 1 in
           if d > !max_depth then max_depth := d;
-          Report.deliver rep m;
+          (* the dedup key is the serialization: charge its length *)
+          Report.deliver rep ~bytes:(String.length key) m;
           record m;
           process dest d m
         end

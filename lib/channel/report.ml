@@ -24,10 +24,10 @@ let add_raw (r : t) ~bytes:n =
   r.messages <- r.messages + 1;
   r.bytes <- r.bytes + n
 
-(** Charge one delivered wire message. *)
-let deliver (r : t) (m : Msg.t) =
+(** Charge one delivered wire message, [bytes] its serialized length. *)
+let deliver (r : t) ~(bytes : int) (m : Msg.t) =
   r.messages <- r.messages + 1;
-  r.bytes <- r.bytes + Msg.size m;
+  r.bytes <- r.bytes + bytes;
   r.signatures <- r.signatures + Msg.sig_count m
 
 (** Charge a script call result. *)

@@ -26,9 +26,10 @@ val fresh : unit -> t
     outside the driver, e.g. splicing's co-sign legs). *)
 val add_raw : t -> bytes:int -> unit
 
-(** Charge one delivered wire message: bytes from its real
-    serialization, signatures from {!Msg.sig_count}. *)
-val deliver : t -> Msg.t -> unit
+(** Charge one delivered wire message: [bytes] is the length of its
+    real serialization (the caller already has it, or {!Msg.size}),
+    signatures come from {!Msg.sig_count}. *)
+val deliver : t -> bytes:int -> Msg.t -> unit
 
 (** Charge a script call result (one script transaction plus its
     gas). *)

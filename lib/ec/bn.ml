@@ -194,18 +194,16 @@ let of_bytes_le (s : string) : t =
   done;
   normalize out
 
+(* Byte i is bits [8i, 8i+8): the tail of one 26-bit limb, topped up
+   from the next when it straddles a limb boundary. *)
 let to_bytes_le (a : t) ~(len : int) : string =
-  let out = Bytes.make len '\000' in
-  let nbits = num_bits a in
-  if nbits > 8 * len then invalid_arg "Bn.to_bytes_le: does not fit";
-  for i = 0 to len - 1 do
-    let byte = ref 0 in
-    for j = 0 to 7 do
-      if testbit a ((8 * i) + j) then byte := !byte lor (1 lsl j)
-    done;
-    Bytes.set out i (Char.chr !byte)
-  done;
-  Bytes.unsafe_to_string out
+  if num_bits a > 8 * len then invalid_arg "Bn.to_bytes_le: does not fit";
+  let n = Array.length a in
+  let limb k = if k < n then a.(k) else 0 in
+  String.init len (fun i ->
+      let bit = 8 * i in
+      let k = bit / limb_bits and off = bit mod limb_bits in
+      Char.chr (((limb k lsr off) lor (limb (k + 1) lsl (limb_bits - off))) land 0xff))
 
 let of_hex (s : string) : t =
   let s = if String.length s mod 2 = 1 then "0" ^ s else s in

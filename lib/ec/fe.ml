@@ -12,8 +12,10 @@
     it: {!equal}, {!is_odd}, {!to_bn}).
 
     Conversions to/from {!Bn.t} exist solely at the module boundary
-    (constants, DRBG sampling, hex, the point decoder's canonicity
-    check); no arithmetic in here ever allocates a [Bn.t].
+    (constants, DRBG sampling, hex); no arithmetic in here ever
+    allocates a [Bn.t]. The two fixed exponentiations the curve needs
+    ({!inv} and the square-root exponent {!pow22523}) are addition
+    chains, not ladders over a [Bn] exponent.
 
     The previous [Bn]-backed implementation survives as {!Fe_ref} and
     is differentially tested against this one in test/test_ec.ml. *)
@@ -425,29 +427,74 @@ let equal (a : t) (b : t) : bool =
 let is_zero (a : t) : bool = Monet_util.Bytes_ext.ct_equal (to_bytes_le a) zero_bytes
 let is_odd (a : t) : bool = Char.code (to_bytes_le a).[0] land 1 = 1
 
-(* --- Exponentiation (binary ladder over a Bn exponent) --- *)
-
-let pow (base : t) (e : Bn.t) : t =
-  let n = Bn.num_bits e in
-  let acc = ref one and b = ref base in
-  for i = 0 to n - 1 do
-    if Bn.testbit e i then acc := mul !acc !b;
-    if i < n - 1 then b := sq !b
-  done;
-  !acc
-
-let inv (a : t) : t = pow a (Bn.sub p (Bn.of_int 2))
-
 (* --- Curve constants --- *)
 
 let d = of_hex "52036cee2b6ffe738cc740797779e89800700a4d4141d8ab75eb4dca135978a3"
 let sqrt_m1 = of_hex "2b8324804fc1df0b2b4d00993dfbd7a72f431806ad2fe478c4ee1b274a0ea0b0"
 
-(** Square root mod p (p = 5 mod 8): candidate = a^((p+3)/8), fixed up
-    by sqrt(-1) when needed. Returns [None] if [a] is a non-residue. *)
+(* --- Fixed exponentiations (ref10 addition chains) ---------------------
+
+   Both exponents the curve needs share the prefix z^(2^250 - 1):
+   p - 2 = (2^250 - 1)·2^5 + 11 and (p - 5)/8 = (2^250 - 1)·2^2 + 1.
+   The chain to it is 249 squarings and 10 multiplications (z^11 on
+   the way), against ~254 squarings and ~250 multiplications for a
+   binary ladder over a Bn exponent. *)
+
+(* [sq_n_into d a n]: d := a^(2^n), n ≥ 1. *)
+let sq_n_into (d : t) (a : t) (n : int) : unit =
+  sq_into d a;
+  for _ = 2 to n do
+    sq_into d d
+  done
+
+(* (z^11, z^(2^250 - 1)). *)
+let pow_prefix (z : t) : t * t =
+  let z2 = sq z in
+  let t = alloc () in
+  sq_n_into t z2 2;
+  let z9 = mul z t in
+  let z11 = mul z2 z9 in
+  sq_into t z11;
+  let e5 = mul z9 t in (* 2^5 - 1 *)
+  sq_n_into t e5 5;
+  let e10 = mul t e5 in
+  sq_n_into t e10 10;
+  let e20 = mul t e10 in
+  sq_n_into t e20 20;
+  mul_into t t e20; (* 2^40 - 1 *)
+  sq_n_into t t 10;
+  let e50 = mul t e10 in
+  sq_n_into t e50 50;
+  let e100 = mul t e50 in
+  sq_n_into t e100 100;
+  mul_into t t e100; (* 2^200 - 1 *)
+  sq_n_into t t 50;
+  mul_into t t e50; (* 2^250 - 1 *)
+  (z11, t)
+
+let m_inv = Monet_obs.Metrics.counter "ec.fe_inv"
+
+(** Multiplicative inverse, z^(p-2) (0 maps to 0). *)
+let inv (z : t) : t =
+  Monet_obs.Metrics.bump m_inv;
+  let z11, t = pow_prefix z in
+  sq_n_into t t 5;
+  mul_into t t z11;
+  t
+
+(** z^((p-5)/8) = z^(2^252 - 3), the exponent of the RFC 8032
+    square-root-of-a-ratio formula. *)
+let pow22523 (z : t) : t =
+  let _, t = pow_prefix z in
+  sq_n_into t t 2;
+  mul_into t t z;
+  t
+
+(** Square root mod p (p = 5 mod 8): candidate = a^((p+3)/8)
+    = a·a^((p-5)/8), fixed up by sqrt(-1) when needed. Returns [None]
+    if [a] is a non-residue. *)
 let sqrt (a : t) : t option =
-  let e = Bn.shift_right_bits (Bn.add p (Bn.of_int 3)) 3 in
-  let x = pow a e in
+  let x = mul a (pow22523 a) in
   let x2 = sq x in
   if equal x2 a then Some x
   else begin

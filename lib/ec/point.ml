@@ -15,9 +15,14 @@
       doubling chain for both scalars; [double_mul a p b] = a·P + b·B
       uses a wider (width-8) wNAF table for the fixed base. Every
       verification equation in sig/sigma/cas/vcof/xmr routes through
-      these instead of two independent {!mul} calls. *)
+      these instead of two independent {!mul} calls.
 
-type t = { x : Fe.t; y : Fe.t; z : Fe.t; t : Fe.t }
+    Each point memoises its canonical 32-byte encoding in [enc]
+    ([""] until the first {!encode}; {!decode} seeds it from its
+    canonical input). Every constructor starts with [enc = ""], so a
+    memo always belongs to the coordinates it was computed from. *)
+
+type t = { x : Fe.t; y : Fe.t; z : Fe.t; t : Fe.t; mutable enc : string }
 
 (* Scalar-multiplication provenance counters (DESIGN.md §3.8). *)
 let m_mul = Monet_obs.Metrics.counter "ec.point_mul"
@@ -25,9 +30,10 @@ let m_mul_base = Monet_obs.Metrics.counter "ec.point_mul_base"
 let m_mul2 = Monet_obs.Metrics.counter "ec.point_mul2"
 let m_double_mul = Monet_obs.Metrics.counter "ec.point_double_mul"
 
-let identity = { x = Fe.zero; y = Fe.one; z = Fe.one; t = Fe.zero }
+let identity = { x = Fe.zero; y = Fe.one; z = Fe.one; t = Fe.zero; enc = "" }
 
-let of_affine (x : Fe.t) (y : Fe.t) : t = { x; y; z = Fe.one; t = Fe.mul x y }
+let of_affine (x : Fe.t) (y : Fe.t) : t =
+  { x; y; z = Fe.one; t = Fe.mul x y; enc = "" }
 
 (* Base point B: y = 4/5, x recovered with even sign convention. *)
 let base =
@@ -47,7 +53,7 @@ let add (p : t) (q : t) : t =
   let f = Fe.sub dd c in
   let g = Fe.add dd c in
   let h = Fe.add b a in
-  { x = Fe.mul e f; y = Fe.mul g h; t = Fe.mul e h; z = Fe.mul f g }
+  { x = Fe.mul e f; y = Fe.mul g h; t = Fe.mul e h; z = Fe.mul f g; enc = "" }
 
 (* dbl-2008-hwcd with a = -1. *)
 let double (p : t) : t =
@@ -60,9 +66,9 @@ let double (p : t) : t =
   let g = Fe.add dd b in
   let f = Fe.sub g c in
   let h = Fe.sub dd b in
-  { x = Fe.mul e f; y = Fe.mul g h; t = Fe.mul e h; z = Fe.mul f g }
+  { x = Fe.mul e f; y = Fe.mul g h; t = Fe.mul e h; z = Fe.mul f g; enc = "" }
 
-let neg (p : t) : t = { p with x = Fe.neg p.x; t = Fe.neg p.t }
+let neg (p : t) : t = { x = Fe.neg p.x; y = p.y; z = p.z; t = Fe.neg p.t; enc = "" }
 let sub_point (p : t) (q : t) : t = add p (neg q)
 
 let equal (p : t) (q : t) : bool =
@@ -312,25 +318,28 @@ let m_msm_terms = Monet_obs.Metrics.counter "ec.point_msm_terms"
 
 (** Normalize many points to Z = 1 with one shared field inversion
     (Montgomery's trick): ~3 field multiplications per point instead
-    of one ~30-squaring inversion each. The returned points are equal
-    to the inputs as group elements. *)
+    of one inversion (254 squarings + 11 multiplications) each. The
+    returned points are equal to the inputs as group elements. *)
 let normalize_batch (ps : t array) : t array =
   let n = Array.length ps in
-  let prefix = Array.make n Fe.one in
-  let acc = ref Fe.one in
-  for i = 0 to n - 1 do
-    prefix.(i) <- !acc;
-    acc := Fe.mul !acc ps.(i).z
-  done;
-  let inv = ref (Fe.inv !acc) in
-  let out = Array.make n identity in
-  for i = n - 1 downto 0 do
-    let zi = Fe.mul !inv prefix.(i) in
-    inv := Fe.mul !inv ps.(i).z;
-    let x = Fe.mul ps.(i).x zi and y = Fe.mul ps.(i).y zi in
-    out.(i) <- { x; y; z = Fe.one; t = Fe.mul x y }
-  done;
-  out
+  if n = 0 then [||]
+  else begin
+    let prefix = Array.make n Fe.one in
+    let acc = ref Fe.one in
+    for i = 0 to n - 1 do
+      prefix.(i) <- !acc;
+      acc := Fe.mul !acc ps.(i).z
+    done;
+    let inv = ref (Fe.inv !acc) in
+    let out = Array.make n identity in
+    for i = n - 1 downto 0 do
+      let zi = Fe.mul !inv prefix.(i) in
+      inv := Fe.mul !inv ps.(i).z;
+      let x = Fe.mul ps.(i).x zi and y = Fe.mul ps.(i).y zi in
+      out.(i) <- { x; y; z = Fe.one; t = Fe.mul x y; enc = "" }
+    done;
+    out
+  end
 
 (** [msm [| (k₀,P₀); … |]] = Σ kᵢ·Pᵢ by bucketed (Pippenger)
     multi-scalar multiplication with signed base-2^w digits, the
@@ -520,7 +529,7 @@ let msm (terms : (Sc.t * t) array) : t =
     if not !has_acc then identity
     else
       let ax, ay, az, at = acc in
-      { x = Fe.copy ax; y = Fe.copy ay; z = Fe.copy az; t = Fe.copy at }
+      { x = Fe.copy ax; y = Fe.copy ay; z = Fe.copy az; t = Fe.copy at; enc = "" }
   end
 
 let is_on_curve (p : t) : bool =
@@ -544,18 +553,44 @@ let encode_affine (x : Fe.t) (y : Fe.t) : string =
     Bytes.set bytes 31 (Char.chr (Char.code (Bytes.get bytes 31) lor 0x80));
   Bytes.unsafe_to_string bytes
 
+let m_encode = Monet_obs.Metrics.counter "ec.point_encode"
+
+(* The memo write is an idempotent store of an immutable string: two
+   domains encoding the same point at once both compute the same
+   bytes, and a reader sees either [""] (and recomputes) or a fully
+   built string, never a torn one. *)
 let encode (p : t) : string =
-  let zi = Fe.inv p.z in
-  encode_affine (Fe.mul p.x zi) (Fe.mul p.y zi)
+  if p.enc <> "" then p.enc
+  else begin
+    Monet_obs.Metrics.bump m_encode;
+    let zi = Fe.inv p.z in
+    let s = encode_affine (Fe.mul p.x zi) (Fe.mul p.y zi) in
+    p.enc <- s;
+    s
+  end
 
 (** Encode many points with one shared field inversion (Montgomery's
-    trick: prefix-product the Zᵢ, invert the total, walk back). A
-    single {!Fe.inv} is ~30 field squarings' worth of work, so batch
-    verifiers that hash dozens of points into challenges pay ~3 field
-    multiplications per point here instead of one inversion each. *)
+    trick: prefix-product the Zᵢ, invert the total, walk back) over
+    the points whose encoding is not memoised yet. A single {!Fe.inv}
+    is 254 squarings and 11 multiplications, so batch verifiers that
+    hash dozens of points into challenges pay ~3 field multiplications
+    per point here instead of one inversion each. *)
 let encode_batch (ps : t array) : string array =
-  Array.map (fun (p : t) -> encode_affine p.x p.y) (normalize_batch ps)
+  let miss = Array.of_list (List.filter (fun p -> p.enc = "") (Array.to_list ps)) in
+  let norm = normalize_batch miss in
+  Array.iteri
+    (fun i p ->
+      Monet_obs.Metrics.bump m_encode;
+      p.enc <- encode_affine norm.(i).x norm.(i).y)
+    miss;
+  Array.map (fun p -> p.enc) ps
 
+(** Decompress per RFC 8032 §5.1.3: x = u·v³·(u·v⁷)^((p-5)/8) with
+    u = y² - 1, v = d·y² + 1 — one exponentiation chain, no inversion.
+    The candidate equals (u/v)^((p+3)/8) (v is never 0: -1/d is not a
+    square), so the accepted set and every decoded point are those of
+    the textbook sqrt(u/v). The input is canonical when accepted, so it
+    seeds the encoding memo. *)
 let decode (s : string) : t option =
   if String.length s <> 32 then None
   else begin
@@ -563,19 +598,28 @@ let decode (s : string) : t option =
     let ybytes =
       String.init 32 (fun i -> if i = 31 then Char.chr (Char.code s.[31] land 0x7f) else s.[i])
     in
-    if Bn.compare (Bn.of_bytes_le ybytes) Fe.p >= 0 then None
+    let y = Fe.of_bytes_le ybytes in
+    (* y ≥ p re-encodes to y - p *)
+    if not (String.equal (Fe.to_bytes_le y) ybytes) then None
     else begin
-      let y = Fe.of_bytes_le ybytes in
       let y2 = Fe.sq y in
       let u = Fe.sub y2 Fe.one and v = Fe.add (Fe.mul Fe.d y2) Fe.one in
-      (* x² = u/v *)
-      match Fe.sqrt (Fe.mul u (Fe.inv v)) with
+      let v2 = Fe.sq v in
+      let uv3 = Fe.mul u (Fe.mul v2 v) in
+      let x = Fe.mul uv3 (Fe.pow22523 (Fe.mul uv3 (Fe.sq v2))) in
+      let vx2 = Fe.mul v (Fe.sq x) in
+      let root =
+        if Fe.equal vx2 u then Some x
+        else if Fe.equal vx2 (Fe.neg u) then Some (Fe.mul x Fe.sqrt_m1)
+        else None
+      in
+      match root with
       | None -> None
       | Some x ->
           if Fe.is_zero x && sign then None
           else begin
             let x = if Fe.is_odd x <> sign then Fe.neg x else x in
-            Some (of_affine x y)
+            Some { x; y; z = Fe.one; t = Fe.mul x y; enc = s }
           end
     end
   end

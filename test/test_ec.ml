@@ -50,6 +50,37 @@ let bn_shifts =
       Bn.to_int_opt (Bn.shift_left_bits (Bn.of_int a) s) = Some (a lsl s)
       && Bn.to_int_opt (Bn.shift_right_bits (Bn.of_int a) s) = Some (a lsr s))
 
+(* to_bytes_le reads bytes straight off the limbs; the oracle is the
+   bit-by-bit definition. Values up to 400 bits, widths from tight to
+   padded. *)
+let bn_to_bytes_oracle (a : Bn.t) ~len =
+  String.init len (fun i ->
+      let b = ref 0 in
+      for j = 0 to 7 do
+        if Bn.testbit a ((8 * i) + j) then b := !b lor (1 lsl j)
+      done;
+      Char.chr !b)
+
+let bn_bytes_roundtrip =
+  QCheck.Test.make ~name:"bn to_bytes_le/of_bytes_le roundtrip" ~count:1000
+    QCheck.(pair (string_of_size Gen.(0 -- 50)) (int_bound 8))
+    (fun (s, pad) ->
+      let a = Bn.of_bytes_le s in
+      let len = String.length s + pad in
+      let enc = Bn.to_bytes_le a ~len in
+      let tight = (Bn.num_bits a + 7) / 8 in
+      String.equal enc (s ^ String.make pad '\000')
+      && String.equal enc (bn_to_bytes_oracle a ~len)
+      && Bn.equal (Bn.of_bytes_le enc) a
+      && String.equal (Bn.to_bytes_le a ~len:tight) (bn_to_bytes_oracle a ~len:tight))
+
+let test_bn_to_bytes_edges () =
+  Alcotest.(check string) "zero, len 0" "" (Bn.to_bytes_le Bn.zero ~len:0);
+  let all_ones = Bn.of_bytes_le (String.make 48 '\xff') in
+  Alcotest.(check string) "2^384-1" (String.make 48 '\xff') (Bn.to_bytes_le all_ones ~len:48);
+  Alcotest.check_raises "does not fit" (Invalid_argument "Bn.to_bytes_le: does not fit")
+    (fun () -> ignore (Bn.to_bytes_le all_ones ~len:47))
+
 let test_bn_big_divmod () =
   (* (l * 12345 + 678) divmod l *)
   let l = Sc.l in
@@ -196,7 +227,7 @@ let diff_count = 10_000
 
 (* Interesting boundary encodings: 0, 1, p-1, p, p+1 (the last two are
    non-canonical and must reduce), 2^255-1, values straddling limb
-   boundaries. *)
+   boundaries, and for the square root the non-residue 2 and ±sqrt(-1). *)
 let fe_edge_bytes : string list =
   let le32_of_hex_be h =
     (* Bn.to_bytes_le canonicalizes for us. *)
@@ -212,6 +243,9 @@ let fe_edge_bytes : string list =
     le32_of_hex_be "0000000000000000000000000000000000000000000000000000000003ffffff";
     le32_of_hex_be "0000000000000000000000000000000000000000000000000000000004000000";
     String.make 16 '\x00' ^ String.make 16 '\xff';
+    "\x02" ^ String.make 31 '\x00';
+    Fe.to_bytes_le Fe.sqrt_m1;
+    Fe.to_bytes_le (Fe.neg Fe.sqrt_m1);
   ]
 
 let check_fe_pair ~what i expect got =
@@ -223,6 +257,7 @@ let test_fe_differential () =
   let g = Monet_hash.Drbg.of_int 7321 in
   let n_edge = List.length fe_edge_bytes in
   let edges = Array.of_list fe_edge_bytes in
+  let direct = ref 0 and fixed = ref 0 and nonres = ref 0 in
   for i = 0 to diff_count - 1 do
     (* First cases pair up the edge encodings; the rest are random. *)
     let sa = if i < n_edge * n_edge then edges.(i / n_edge) else Monet_hash.Drbg.bytes g 32 in
@@ -242,16 +277,23 @@ let test_fe_differential () =
     check_fe_pair ~what:"sq" i
       (Fe_ref.to_bytes_le (Fe_ref.sq ar))
       (Fe.to_bytes_le (Fe.sq a));
-    (* inv: running Fe_ref.inv 10k times is too slow, so check the fast
-       inverse against the reference multiplication: a · a⁻¹ = 1. *)
-    if not (Fe.is_zero a) then begin
-      let ia = Fe.to_bytes_le (Fe.inv a) in
-      let prod = Fe_ref.mul ar (Fe_ref.of_bytes_le ia) in
-      if not (Fe_ref.equal prod Fe_ref.one) then
-        Alcotest.failf "fe differential inv mismatch at case %d (a=%s)" i
-          (Monet_util.Hex.encode sa)
-    end
-  done
+    (* inv and sqrt are addition chains here, Bn-exponent ladders in
+       Fe_ref: bit-identical outputs, roots found for the same inputs. *)
+    check_fe_pair ~what:"inv" i
+      (Fe_ref.to_bytes_le (Fe_ref.inv ar))
+      (Fe.to_bytes_le (Fe.inv a));
+    match (Fe.sqrt a, Fe_ref.sqrt ar) with
+    | None, None -> incr nonres
+    | Some x, Some xr ->
+        check_fe_pair ~what:"sqrt" i (Fe_ref.to_bytes_le xr) (Fe.to_bytes_le x);
+        (* which branch: the candidate a^((p+3)/8) itself, or ·sqrt(-1) *)
+        let candidate = Fe.mul a (Fe.pow22523 a) in
+        if Fe.equal (Fe.sq candidate) a then incr direct else incr fixed
+    | _ -> Alcotest.failf "fe differential sqrt: root existence differs at case %d" i
+  done;
+  Alcotest.(check bool) "sqrt: direct roots hit" true (!direct > 0);
+  Alcotest.(check bool) "sqrt: sqrt(-1) fix-ups hit" true (!fixed > 0);
+  Alcotest.(check bool) "sqrt: non-residues hit" true (!nonres > 0)
 
 (* --- RFC 8032 known-answer vectors ---
 
@@ -388,6 +430,17 @@ let test_msm_differential () =
   (* Empty batch. *)
   Alcotest.(check bool) "msm [] = O" true (Point.is_identity (Point.msm [||]))
 
+(* The encoding memo: a point's cached encoding must always be the
+   encoding of its own coordinates. [fresh] rebuilds a point through a
+   constructor (p + O), so its encode is computed, never recalled. *)
+let fresh p = Point.add p Point.identity
+
+let check_enc what expect got =
+  Alcotest.(check string) what (Monet_util.Hex.encode expect) (Monet_util.Hex.encode got)
+
+(* encode_batch over a mix of memoised and fresh points (and negations
+   of memoised ones) equals a from-scratch encode of each point, and
+   leaves those encodings in the memo. *)
 let test_encode_batch () =
   let g = Monet_hash.Drbg.of_int 0x656e63 in
   for n = 0 to 9 do
@@ -395,15 +448,62 @@ let test_encode_batch () =
       Array.init n (fun i ->
           if i = 0 then Point.identity else Point.mul_base (Sc.random g))
     in
+    Array.iteri (fun i p -> if i mod 3 = 1 then ignore (Point.encode p)) ps;
+    let ps = Array.append ps (Array.map Point.neg (Array.sub ps 0 (n / 2))) in
+    let expect = Array.map (fun p -> Point.encode (fresh p)) ps in
     let batch = Point.encode_batch ps in
     Array.iteri
-      (fun i p ->
-        Alcotest.(check string)
-          (Printf.sprintf "encode_batch n=%d i=%d" n i)
-          (Monet_util.Hex.encode (Point.encode p))
-          (Monet_util.Hex.encode batch.(i)))
-      ps
+      (fun i e ->
+        check_enc (Printf.sprintf "encode_batch n=%d i=%d" n i) e batch.(i);
+        check_enc (Printf.sprintf "memo after encode_batch n=%d i=%d" n i) e
+          (Point.encode ps.(i)))
+      expect
   done
+
+let test_encode_memo () =
+  let g = Monet_hash.Drbg.of_int 0x6d656d in
+  for i = 0 to 19 do
+    let p = Point.mul_base (Sc.random g) in
+    let e = Point.encode p in
+    check_enc "memo = recompute" (Point.encode (fresh p)) e;
+    check_enc "memo recalled" e (Point.encode p);
+    (* neg of an encoded point: the memo must not be inherited *)
+    let n = Point.neg p in
+    check_enc (Printf.sprintf "encode (neg p) #%d" i) (Point.encode (Point.neg (fresh p)))
+      (Point.encode n);
+    Alcotest.(check bool) "neg flips the sign bit" true
+      (Point.encode n <> e && String.sub (Point.encode n) 0 31 = String.sub e 0 31);
+    check_enc "neg (neg p)" e (Point.encode (Point.neg n));
+    (* decode seeds the memo with its (canonical) input *)
+    (match Point.decode e with
+    | None -> Alcotest.fail "decode failed"
+    | Some q ->
+        check_enc "decode-seeded memo" e (Point.encode q);
+        check_enc "decode-seeded = fresh" e (Point.encode (fresh q));
+        check_enc "neg of decoded" (Point.encode n) (Point.encode (Point.neg q)));
+    (* every other constructor starts without a memo *)
+    check_enc "double" (Point.encode (Point.double (fresh p))) (Point.encode (Point.double p));
+    check_enc "add" (Point.encode (Point.add (fresh p) Point.base))
+      (Point.encode (Point.add p Point.base));
+    check_enc "sub_point" (Point.encode (Point.add (fresh p) (Point.neg Point.base)))
+      (Point.encode (Point.sub_point p Point.base))
+  done;
+  check_enc "identity" ("\x01" ^ String.make 31 '\x00') (Point.encode Point.identity);
+  check_enc "identity again" ("\x01" ^ String.make 31 '\x00') (Point.encode Point.identity);
+  (* normalize_batch and msm outputs, from memoised inputs *)
+  let ps = Array.init 12 (fun _ -> Point.mul_base (Sc.random g)) in
+  let expect = Array.map Point.encode ps in
+  let norm = Point.normalize_batch ps in
+  Array.iteri
+    (fun i e -> check_enc (Printf.sprintf "normalize_batch #%d" i) e (Point.encode norm.(i)))
+    expect;
+  let terms = Array.map (fun p -> (Sc.random g, p)) ps in
+  let naive =
+    Array.fold_left (fun acc (k, p) -> Point.add acc (Point.mul k p)) Point.identity terms
+  in
+  let m = Point.msm terms in
+  check_enc "msm" (Point.encode (fresh naive)) (Point.encode m);
+  check_enc "neg msm" (Point.encode (Point.neg (fresh naive))) (Point.encode (Point.neg m))
 
 (* --- Z_l* chain arithmetic --- *)
 
@@ -422,6 +522,36 @@ let test_zl_pow_small () =
        (Zl.pow Zl.default_base (Bn.of_int 3))
        (Sc.mul Zl.default_base (Sc.mul Zl.default_base Zl.default_base)))
 
+(* Zl.pow (Montgomery comb) against Barrett square-and-multiply: one
+   exponent of every width 0..384 bits, ℓ-1, 2^384-1, and widths past
+   the comb's 384 bits (the Barrett fallback), for the default base and
+   a random one. *)
+let test_zl_pow_differential () =
+  let g = Monet_hash.Drbg.of_int 0x7a6c in
+  let ctx = Bn.Barrett.create Sc.l in
+  let random_bits b =
+    if b = 0 then Bn.zero
+    else
+      let x = Bn.of_bytes_le (Monet_hash.Drbg.bytes g ((b + 7) / 8)) in
+      let x = Bn.rem x (Bn.shift_left_bits Bn.one (b - 1)) in
+      Bn.add x (Bn.shift_left_bits Bn.one (b - 1))
+  in
+  let exps =
+    List.init 385 random_bits
+    @ [ Bn.sub Sc.l Bn.one; Bn.of_bytes_le (String.make 48 '\xff'); random_bits 385;
+        random_bits 512; Bn.of_bytes_le (String.make 64 '\xff') ]
+  in
+  List.iter
+    (fun h ->
+      List.iter
+        (fun x ->
+          let got = Zl.pow h x and expect = Bn.Barrett.pow_mod ctx h x in
+          if not (Bn.equal got expect) then
+            Alcotest.failf "zl pow mismatch: h=%s x=%s (%d bits): %s vs %s" (Bn.to_hex h)
+              (Bn.to_hex x) (Bn.num_bits x) (Bn.to_hex got) (Bn.to_hex expect))
+        exps)
+    [ Zl.default_base; Sc.random g ]
+
 let tests =
   [
     qtest bn_roundtrip;
@@ -431,6 +561,8 @@ let tests =
     qtest bn_divmod;
     qtest bn_hex_roundtrip;
     qtest bn_shifts;
+    qtest bn_bytes_roundtrip;
+    Alcotest.test_case "bn to_bytes_le edges" `Quick test_bn_to_bytes_edges;
     Alcotest.test_case "bn big divmod" `Quick test_bn_big_divmod;
     Alcotest.test_case "barrett reduction" `Quick test_barrett_matches_divmod;
     Alcotest.test_case "fe inverse" `Quick test_fe_inv;
@@ -457,6 +589,8 @@ let tests =
     Alcotest.test_case "is_identity" `Quick test_is_identity;
     Alcotest.test_case "msm differential (10k terms)" `Slow test_msm_differential;
     Alcotest.test_case "encode_batch matches encode" `Quick test_encode_batch;
+    Alcotest.test_case "encode memo" `Quick test_encode_memo;
     Alcotest.test_case "zl pow homomorphic" `Quick test_zl_pow_homomorphic;
     Alcotest.test_case "zl pow small" `Quick test_zl_pow_small;
+    Alcotest.test_case "zl pow vs barrett" `Quick test_zl_pow_differential;
   ]
