@@ -123,12 +123,13 @@ end
 
 let ops_per_sec ~iters (f : unit -> unit) : float =
   f () (* warm up: forces lazy tables, fills caches *);
-  let t0 = Sys.time () in
-  for _ = 1 to iters do
-    f ()
-  done;
-  let dt = Sys.time () -. t0 in
-  float_of_int iters /. Float.max dt 1e-9
+  let (), ms =
+    Monet_obs.Trace.timed (fun () ->
+        for _ = 1 to iters do
+          f ()
+        done)
+  in
+  float_of_int iters /. Float.max (ms /. 1000.0) 1e-9
 
 type entry = {
   name : string;

@@ -35,12 +35,7 @@ let pay_err e = failwith (Payment.error_to_string e)
 
 (* Median-of-N wall-time of [f], in milliseconds. *)
 let time_ms ?(runs = 5) (f : unit -> unit) : float =
-  let samples =
-    List.init runs (fun _ ->
-        let t0 = Sys.time () in
-        f ();
-        (Sys.time () -. t0) *. 1000.0)
-  in
+  let samples = List.init runs (fun _ -> snd (Monet_obs.Trace.timed f)) in
   let sorted = List.sort compare samples in
   List.nth sorted (runs / 2)
 

@@ -27,6 +27,7 @@ module Topo = Monet_net.Topo
 module Workload = Monet_net.Workload
 module Shard = Monet_net.Shard
 module Metrics = Monet_obs.Metrics
+module Trace = Monet_obs.Trace
 open Monet_util
 
 let seed = 0x6e31
@@ -55,13 +56,12 @@ let run_topology ~(spec : Topo.spec) ~(balance : int) ~(cfg : Workload.config) :
   in
   let rng = Monet_hash.Drbg.split g "workload" in
   let before = Metrics.snapshot () in
-  let t0 = Sys.time () in
-  let report =
-    match Workload.run rng t cfg with
-    | Ok r -> r
-    | Error e -> failwith (Topo.name spec ^ ": workload: " ^ e)
+  let report, ms =
+    Trace.timed (fun () ->
+        match Workload.run rng t cfg with
+        | Ok r -> r
+        | Error e -> failwith (Topo.name spec ^ ": workload: " ^ e))
   in
-  let wall = Sys.time () -. t0 in
   let diff = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
   {
     r_topology = Topo.name spec;
@@ -71,7 +71,7 @@ let run_topology ~(spec : Topo.spec) ~(balance : int) ~(cfg : Workload.config) :
     r_routes = counter_delta diff "net.route";
     r_settled = counter_delta diff "net.route.settled";
     r_relaxed = counter_delta diff "net.route.relaxed";
-    r_wall_s = wall;
+    r_wall_s = ms /. 1000.0;
   }
 
 (* --- Domain scaling (DESIGN.md §3.10) ------------------------------ *)
@@ -100,16 +100,15 @@ let run_domains ~(shape : string) ~(nodes : int) ~(cfg : Workload.config)
       with
       | Error e -> failwith (Printf.sprintf "domains %s/%d: %s" shape d e)
       | Ok p -> (
-          let t0 = Sys.time () in
-          match Shard.run p with
-          | Error e -> failwith (Printf.sprintf "domains %s/%d: %s" shape d e)
-          | Ok m ->
+          match Trace.timed (fun () -> Shard.run p) with
+          | Error e, _ -> failwith (Printf.sprintf "domains %s/%d: %s" shape d e)
+          | Ok m, ms ->
               {
                 d_shape = shape;
                 d_nodes = nodes;
                 d_domains = d;
                 d_merged = m;
-                d_wall_s = Sys.time () -. t0;
+                d_wall_s = ms /. 1000.0;
               }))
     domains
 

@@ -1,7 +1,7 @@
 (** Discrete-event simulation clock and event queue.
 
     Time is simulated milliseconds (float). Events are callbacks on a
-    binary min-heap; [run_until] drains the queue. Protocol layers mix
+    binary min-heap; [run] drains the queue. Protocol layers mix
     *measured* computation time (wall clock of the real crypto) with
     *simulated* network latency, as the paper's evaluation does. *)
 
@@ -74,11 +74,11 @@ let pop (c : t) : event option =
 
 let m_events = Monet_obs.Metrics.counter "dsim.events"
 
-(** Run events until the queue is empty or [limit] is reached. While
-    draining, the queue's simulated time is installed as the tracer's
-    sim clock, so every span/event recorded inside an event callback
-    carries sim-time next to wall-time. *)
-let run (c : t) ?(limit = max_float) () : unit =
+(** Run events until the queue is empty. While draining, the queue's
+    simulated time is installed as the tracer's sim clock, so every
+    span/event recorded inside an event callback carries sim-time next
+    to wall-time. *)
+let run (c : t) () : unit =
   let continue = ref true in
   Monet_obs.Trace.set_sim_clock (Some (fun () -> c.now));
   Fun.protect
@@ -88,17 +88,9 @@ let run (c : t) ?(limit = max_float) () : unit =
         match pop c with
         | None -> continue := false
         | Some ev ->
-            if ev.at > limit then begin
-              (* Push back and stop: the event stays for a later run. *)
-              schedule c ~delay:(ev.at -. c.now) ev.run;
-              c.now <- limit;
-              continue := false
-            end
-            else begin
-              c.now <- ev.at;
-              Monet_obs.Metrics.bump m_events;
-              ev.run ()
-            end
+            c.now <- ev.at;
+            Monet_obs.Metrics.bump m_events;
+            ev.run ()
       done)
 
 (** Advance the clock without events (models pure computation time). *)

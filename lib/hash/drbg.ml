@@ -1,8 +1,8 @@
 (** Deterministic random byte generator (hash-DRBG over SHA-512).
 
     Used for all randomness in the library so that tests, simulations
-    and benchmarks are reproducible. Seeding from the OS is available
-    for callers that want real entropy. *)
+    and benchmarks are reproducible: every generator is built from an
+    explicit seed. *)
 
 type t = { mutable key : string; mutable counter : int }
 
@@ -10,18 +10,6 @@ let create ~(seed : string) : t =
   { key = Sha512.digest ("monet/drbg/seed\x00" ^ seed); counter = 0 }
 
 let of_int (n : int) : t = create ~seed:(string_of_int n)
-
-(* Best-effort OS entropy; falls back to time-based seed. *)
-let os_seeded () : t =
-  let seed =
-    try
-      let ic = open_in_bin "/dev/urandom" in
-      let s = really_input_string ic 32 in
-      close_in ic;
-      s
-    with _ -> string_of_float (Sys.time ())
-  in
-  create ~seed
 
 let block (t : t) : string =
   let out = Sha512.digest_list [ t.key; Monet_util.Bytes_ext.le64_of_int t.counter ] in

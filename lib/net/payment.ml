@@ -45,11 +45,6 @@ let fresh_stats () =
   { setup_ms = 0.; lock_ms = 0.; unlock_ms = 0.; n_hops = 0; messages = 0; bytes = 0;
     onion_bytes = 0 }
 
-let timed (f : unit -> 'a) : 'a * float =
-  let t0 = Sys.time () in
-  let r = f () in
-  (r, (Sys.time () -. t0) *. 1000.0)
-
 let role_of_payer (hop : Router.hop) : Monet_sig.Two_party.role =
   if hop.Router.h_edge.Graph.e_left = hop.Router.h_payer then
     Monet_sig.Two_party.Alice
@@ -197,7 +192,7 @@ let execute (t : Graph.t) ~(path : Router.hop list) ~(amount : int)
     (* --- Setup (sender) --- *)
     let (amhl, onion), setup_ms =
       Monet_obs.Trace.span "payment.setup" @@ fun () ->
-      timed (fun () ->
+      Monet_obs.Trace.timed (fun () ->
           let hps = Array.map (fun h -> hp_of_edge h.Router.h_edge) hops in
           let amhl = Monet_amhl.Amhl.setup t.Graph.g ~hps in
           (* Onion route: the payee of each hop gets its packet. *)
@@ -251,7 +246,7 @@ let execute (t : Graph.t) ~(path : Router.hop list) ~(amount : int)
       else begin
         let r, ms =
           Monet_obs.Trace.span "payment.lock" ~attrs:(hop_attr i) @@ fun () ->
-          timed (fun () ->
+          Monet_obs.Trace.timed (fun () ->
               Ch.lock (channel_of i) ~payer:(role_of_payer hops.(i))
                 ~amount:amts.(i)
                 ~lock_stmt:amhl.Monet_amhl.Amhl.locks.(i).Monet_sig.Stmt.stmt
@@ -300,7 +295,7 @@ let execute (t : Graph.t) ~(path : Router.hop list) ~(amount : int)
           in
           let r, ms =
             Monet_obs.Trace.span "payment.unlock" ~attrs:(hop_attr i) @@ fun () ->
-            timed (fun () -> Ch.unlock (channel_of i) ~y:w)
+            Monet_obs.Trace.timed (fun () -> Ch.unlock (channel_of i) ~y:w)
           in
           stats.unlock_ms <- stats.unlock_ms +. ms;
           match r with

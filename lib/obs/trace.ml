@@ -2,8 +2,8 @@
    and a self-validated JSON exporter (schema monet-trace/1).
 
    A span records wall-clock start/end (the overridable [clock],
-   defaulting to CPU milliseconds to match the repo's Sys.time-based
-   harness), optional simulation-clock start/end (installed by
+   defaulting to monotonic wall milliseconds, which [timed] also
+   reads), optional simulation-clock start/end (installed by
    Monet_dsim.Clock.run for the duration of a drain), its attributes,
    point events, child spans, and the per-counter increase of the
    metrics registry over its extent ([sp_ops], inclusive of children).
@@ -48,7 +48,8 @@ let owner : Domain.id option ref = ref None
 let[@inline] active () =
   !enabled && (match !owner with Some d -> d = Domain.self () | None -> false)
 
-let clock : (unit -> float) ref = ref (fun () -> Sys.time () *. 1000.0)
+let clock : (unit -> float) ref =
+  ref (fun () -> Int64.to_float (Monotonic_clock.now ()) /. 1e6)
 let sim_clock : (unit -> float) option ref = ref None
 
 (* Open spans, innermost first. *)
@@ -69,6 +70,11 @@ let set_clock f = clock := f
 let set_sim_clock f = sim_clock := f
 let now_ms () = !clock ()
 let sim_now () = match !sim_clock with Some c -> Some (c ()) | None -> None
+
+let timed (f : unit -> 'a) : 'a * float =
+  let t0 = now_ms () in
+  let r = f () in
+  (r, now_ms () -. t0)
 
 let clear () =
   stack := [];

@@ -53,9 +53,9 @@ val clear : unit -> unit
 (** Drop all recorded spans and events (keeps the enabled state). *)
 
 val set_clock : (unit -> float) -> unit
-(** Override the wall clock (milliseconds). Defaults to
-    [Sys.time () *. 1000.0] — CPU milliseconds, matching the
-    benchmark harness. *)
+(** Override the wall clock (milliseconds). Defaults to the monotonic
+    wall clock ([Monotonic_clock.now] in milliseconds), which keeps
+    counting while the process sleeps or waits. *)
 
 val set_sim_clock : (unit -> float) option -> unit
 (** Install (or remove) a simulation clock; while installed, every
@@ -64,6 +64,11 @@ val set_sim_clock : (unit -> float) option -> unit
 
 val now_ms : unit -> float
 (** Current wall-clock reading (clock milliseconds). *)
+
+val timed : (unit -> 'a) -> 'a * float
+(** [timed f] runs [f] and returns its result with the milliseconds it
+    took on the {!now_ms} clock — the one timer for the library and
+    every bench. Records nothing, whether or not tracing is enabled. *)
 
 val span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f] inside a span: the span nests under the

@@ -30,16 +30,6 @@ let test_nested_scheduling () =
   Alcotest.(check (list (pair string (float 0.001))))
     "relative delays" [ ("first", 10.0); ("second", 15.0) ] (List.rev !log)
 
-let test_run_limit () =
-  let c = Clock.create () in
-  let fired = ref 0 in
-  Clock.schedule c ~delay:10.0 (fun () -> incr fired);
-  Clock.schedule c ~delay:100.0 (fun () -> incr fired);
-  Clock.run c ~limit:50.0 ();
-  Alcotest.(check int) "only early event" 1 !fired;
-  Clock.run c ();
-  Alcotest.(check int) "late event after resume" 2 !fired
-
 let test_heap_stress () =
   (* Many events in adversarial order still come out sorted. *)
   let c = Clock.create () in
@@ -72,7 +62,6 @@ let tests =
     Alcotest.test_case "event ordering" `Quick test_event_ordering;
     Alcotest.test_case "fifo tie-break" `Quick test_fifo_tie_break;
     Alcotest.test_case "nested scheduling" `Quick test_nested_scheduling;
-    Alcotest.test_case "run limit" `Quick test_run_limit;
     Alcotest.test_case "heap stress" `Quick test_heap_stress;
     Alcotest.test_case "latency models" `Quick test_latency_models;
   ]

@@ -1,7 +1,7 @@
 (* Observability: metrics registry semantics, span nesting/ordering,
    JSON export + monet-trace/1 self-validation, zero-overhead-when-
-   disabled, and a golden span tree for a 3-hop payment over the
-   Scheduled transport. *)
+   disabled, a wall clock that counts a sleep, and a golden span tree
+   for a 3-hop payment over the Scheduled transport. *)
 
 module Metrics = Monet_obs.Metrics
 module Trace = Monet_obs.Trace
@@ -144,6 +144,24 @@ let test_span_survives_exception () =
         "thrower attached despite the exception" [ "t.thrower" ]
         (List.map (fun s -> s.Trace.sp_name) root.sp_children)
   | roots -> Alcotest.failf "expected one root, got %d" (List.length roots)
+
+(* The default clock is wall time: a 50 ms sleep burns almost no CPU,
+   so a CPU clock would read about 0 ms for it. *)
+let test_clock_counts_sleep () =
+  Trace.enable ();
+  Trace.span "t.sleep" (fun () -> Unix.sleepf 0.05);
+  (match Trace.roots () with
+  | [ root ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "span over a 50 ms sleep reads >= 45 ms (%.2f)"
+           (Trace.duration_ms root))
+        true
+        (Trace.duration_ms root >= 45.0)
+  | roots -> Alcotest.failf "expected one root, got %d" (List.length roots));
+  let (), ms = Trace.timed (fun () -> Unix.sleepf 0.05) in
+  Alcotest.(check bool)
+    (Printf.sprintf "timed 50 ms sleep reads >= 45 ms (%.2f)" ms)
+    true (ms >= 45.0)
 
 let test_ring_buffer_drops_oldest () =
   Trace.enable ~capacity:2 ();
@@ -333,6 +351,8 @@ let tests =
       (isolated test_span_nesting_and_ordering);
     Alcotest.test_case "span survives exception" `Quick
       (isolated test_span_survives_exception);
+    Alcotest.test_case "clock counts a sleep" `Quick
+      (isolated test_clock_counts_sleep);
     Alcotest.test_case "ring buffer drops oldest" `Quick
       (isolated test_ring_buffer_drops_oldest);
     Alcotest.test_case "span ops attribution" `Quick

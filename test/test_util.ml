@@ -1,5 +1,5 @@
 (* Utility-layer unit tests: hex, byte helpers, wire, the JSON codec,
-   drbg entropy, ledger odds and ends. *)
+   drbg, ledger odds and ends. *)
 
 let test_hex_errors () =
   Alcotest.check_raises "odd length" (Invalid_argument "Hex.decode: odd length")
@@ -49,12 +49,6 @@ let test_wire_at_end () =
   Alcotest.(check bool) "not at end" false (Monet_util.Wire.at_end r);
   ignore (Monet_util.Wire.read_u8 r);
   Alcotest.(check bool) "at end" true (Monet_util.Wire.at_end r)
-
-let test_drbg_os_seeded_distinct () =
-  (* Two OS-seeded generators should not collide (entropy sanity). *)
-  let a = Monet_hash.Drbg.os_seeded () and b = Monet_hash.Drbg.os_seeded () in
-  Alcotest.(check bool) "distinct streams" true
-    (Monet_hash.Drbg.bytes a 16 <> Monet_hash.Drbg.bytes b 16)
 
 let test_keccak_vs_sha3_differ () =
   Alcotest.(check bool) "padding domain separation" true
@@ -208,7 +202,6 @@ let tests =
     Alcotest.test_case "le64 roundtrip" `Quick test_le64_roundtrip;
     Alcotest.test_case "ct_equal" `Quick test_ct_equal;
     Alcotest.test_case "wire at_end" `Quick test_wire_at_end;
-    Alcotest.test_case "drbg os entropy" `Quick test_drbg_os_seeded_distinct;
     Alcotest.test_case "keccak vs sha3" `Quick test_keccak_vs_sha3_differ;
     Alcotest.test_case "empty block" `Quick test_ledger_empty_block;
     Alcotest.test_case "empty tx" `Quick test_ledger_rejects_empty_tx;

@@ -129,26 +129,25 @@ let test_cvrfy_batch () =
 (* --- CAS (Algorithm 1, single-signer) --- *)
 
 let test_cas_lifecycle () =
-  let s = Monet_cas.Cas.gen drbg () in
-  let stmt0 = Monet_cas.Cas.statement s in
-  let pre0 = Monet_cas.Cas.p_sign drbg s "m0" in
+  let pp = Vcof.default_pp in
+  let p0 = Vcof.sw_gen drbg in
+  let kp = Monet_sig.Sig_core.gen drbg in
+  let pre0 = Monet_sig.Adaptor.pre_sign drbg kp "m0" ~stmt:p0.Vcof.stmt in
   Alcotest.(check bool) "p_vrfy" true
-    (Monet_cas.Cas.p_vrfy ~vk:s.Monet_cas.Cas.keypair.vk ~stmt:stmt0 "m0" pre0);
-  let w0 = Monet_cas.Cas.witness s in
-  let stmt1, proof1 = Monet_cas.Cas.new_sw ?reps drbg s in
+    (Monet_sig.Adaptor.pre_verify kp.vk "m0" ~stmt:p0.Vcof.stmt pre0);
+  let p1, proof1 = Vcof.new_sw ?reps drbg p0 ~pp in
   Alcotest.(check bool) "consecutive" true
-    (Monet_cas.Cas.c_vrfy s ~prev:stmt0 ~next:stmt1 proof1);
-  let pre1 = Monet_cas.Cas.p_sign drbg s "m1" in
-  let sg1 = Monet_cas.Cas.adapt pre1 ~y:(Monet_cas.Cas.witness s) in
+    (Vcof.c_vrfy ~pp ~prev:p0.Vcof.stmt ~next:p1.Vcof.stmt proof1);
+  let pre1 = Monet_sig.Adaptor.pre_sign drbg kp "m1" ~stmt:p1.Vcof.stmt in
+  let sg1 = Monet_sig.Adaptor.adapt pre1 ~y:p1.Vcof.wit in
   Alcotest.(check bool) "adapted verifies" true
-    (Monet_cas.Cas.vrfy ~vk:s.Monet_cas.Cas.keypair.vk "m1" sg1);
+    (Monet_sig.Sig_core.verify kp.vk "m1" sg1);
   (* Revealing w0 exposes the following witness by forward derivation. *)
-  let w1 = Monet_cas.Cas.derive_forward s ~from_wit:w0 ~steps:1 in
-  Alcotest.(check bool) "forward derivation exposes w1" true
-    (Sc.equal w1 (Monet_cas.Cas.witness s));
-  let sg1' = Monet_cas.Cas.adapt pre1 ~y:w1 in
+  let w1 = Vcof.derive_n ~pp p0.Vcof.wit 1 in
+  Alcotest.(check bool) "forward derivation exposes w1" true (Sc.equal w1 p1.Vcof.wit);
+  let sg1' = Monet_sig.Adaptor.adapt pre1 ~y:w1 in
   Alcotest.(check bool) "old witness adapts newer presig" true
-    (Monet_cas.Cas.vrfy ~vk:s.Monet_cas.Cas.keypair.vk "m1" sg1')
+    (Monet_sig.Sig_core.verify kp.vk "m1" sg1')
 
 (* --- 2P-CLRAS --- *)
 
